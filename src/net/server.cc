@@ -4,7 +4,7 @@
 #include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
-#include <poll.h>
+#include <sys/epoll.h>
 #include <sys/socket.h>
 #include <sys/uio.h>
 #include <unistd.h>
@@ -23,13 +23,6 @@
 #include "obs/metrics.h"
 #include "obs/span.h"
 #include "util/check.h"
-
-#if defined(__linux__)
-#define HETSCHED_NET_USE_EPOLL 1
-#include <sys/epoll.h>
-#else
-#define HETSCHED_NET_USE_EPOLL 0
-#endif
 
 namespace hetsched::net {
 
@@ -112,13 +105,12 @@ std::size_t hardware_loops() {
   return hw == 0 ? 1 : static_cast<std::size_t>(hw);
 }
 
-// Poller: per-loop readiness multiplexer — epoll on Linux, poll(2)
-// everywhere else.  Level triggered in both flavors, so a partially
-// drained socket re-fires and the read path never needs an exhaustive
-// drain loop to stay correct.  Write interest is per-fd and toggled as
-// response backlogs appear and drain.  Single-threaded: only the owning
-// loop touches its poller; cross-loop write arming goes through the
-// loop's control queue instead.
+// Poller: per-loop epoll readiness multiplexer.  Level triggered, so a
+// partially drained socket re-fires and the read path never needs an
+// exhaustive drain loop to stay correct.  Write interest is per-fd and
+// toggled as response backlogs appear and drain.  Single-threaded: only
+// the owning loop touches its poller; cross-loop write arming goes through
+// the loop's control queue instead.
 class Poller {
  public:
   struct Ready {
@@ -129,65 +121,36 @@ class Poller {
 
   Poller() = default;
   ~Poller() {
-#if HETSCHED_NET_USE_EPOLL
     if (ep_ >= 0) ::close(ep_);
-#endif
   }
   Poller(const Poller&) = delete;
   Poller& operator=(const Poller&) = delete;
 
   bool init(std::string* error) {
-#if HETSCHED_NET_USE_EPOLL
     ep_ = ::epoll_create1(EPOLL_CLOEXEC);
     if (ep_ < 0) {
       *error = errno_string("epoll_create1");
       return false;
     }
     events_.resize(128);
-#endif
     return true;
   }
 
   bool add(int fd, bool want_read, bool want_write) {
-#if HETSCHED_NET_USE_EPOLL
     epoll_event ev{};
     ev.events = mask(want_read, want_write);
     ev.data.fd = fd;
     return ::epoll_ctl(ep_, EPOLL_CTL_ADD, fd, &ev) == 0;
-#else
-    index_[fd] = fds_.size();
-    fds_.push_back(pollfd{fd, events(want_read, want_write), 0});
-    return true;
-#endif
   }
 
   void set_interest(int fd, bool want_read, bool want_write) {
-#if HETSCHED_NET_USE_EPOLL
     epoll_event ev{};
     ev.events = mask(want_read, want_write);
     ev.data.fd = fd;
     ::epoll_ctl(ep_, EPOLL_CTL_MOD, fd, &ev);
-#else
-    const auto it = index_.find(fd);
-    if (it != index_.end()) {
-      fds_[it->second].events = events(want_read, want_write);
-    }
-#endif
   }
 
-  void remove(int fd) {
-#if HETSCHED_NET_USE_EPOLL
-    ::epoll_ctl(ep_, EPOLL_CTL_DEL, fd, nullptr);
-#else
-    const auto it = index_.find(fd);
-    if (it == index_.end()) return;
-    const std::size_t i = it->second;
-    index_.erase(it);
-    fds_[i] = fds_.back();
-    fds_.pop_back();
-    if (i < fds_.size()) index_[fds_[i].fd] = i;
-#endif
-  }
+  void remove(int fd) { ::epoll_ctl(ep_, EPOLL_CTL_DEL, fd, nullptr); }
 
   // Blocks up to timeout_ms (-1 = forever) for readiness.  Fills `ready`;
   // hangups and errors surface as both readable (the read path sees EOF)
@@ -195,7 +158,6 @@ class Poller {
   // wait error other than EINTR.
   bool wait(std::vector<Ready>& ready, int timeout_ms) {
     ready.clear();
-#if HETSCHED_NET_USE_EPOLL
     const int n = ::epoll_wait(ep_, events_.data(),
                                static_cast<int>(events_.size()), timeout_ms);
     if (n < 0) return errno == EINTR;
@@ -207,36 +169,15 @@ class Poller {
       r.writable = (ev.events & (EPOLLOUT | EPOLLERR | EPOLLHUP)) != 0;
       ready.push_back(r);
     }
-#else
-    const int n =
-        ::poll(fds_.data(), static_cast<nfds_t>(fds_.size()), timeout_ms);
-    if (n < 0) return errno == EINTR;
-    for (const pollfd& p : fds_) {
-      Ready r;
-      r.fd = p.fd;
-      r.readable = (p.revents & (POLLIN | POLLERR | POLLHUP)) != 0;
-      r.writable = (p.revents & (POLLOUT | POLLERR | POLLHUP)) != 0;
-      if (r.readable || r.writable) ready.push_back(r);
-    }
-#endif
     return true;
   }
 
  private:
-#if HETSCHED_NET_USE_EPOLL
   static std::uint32_t mask(bool want_read, bool want_write) {
     return (want_read ? EPOLLIN : 0u) | (want_write ? EPOLLOUT : 0u);
   }
   int ep_ = -1;
   std::vector<epoll_event> events_;
-#else
-  static short events(bool want_read, bool want_write) {
-    return static_cast<short>((want_read ? POLLIN : 0) |
-                              (want_write ? POLLOUT : 0));
-  }
-  std::vector<pollfd> fds_;
-  std::unordered_map<int, std::size_t> index_;
-#endif
 };
 
 }  // namespace
@@ -444,7 +385,7 @@ struct Server::Loop {
   Loop& operator=(const Loop&) = delete;
 
   std::size_t index = 0;
-  int listen_fd = -1;           // own socket (reuseport) or loop 0 only
+  int listen_fd = -1;           // this loop's own listen socket
   int wake_fds[2] = {-1, -1};   // cross-loop wakeups and request_stop
   Poller poller;
   std::thread thread;
@@ -466,13 +407,12 @@ struct Server::Loop {
   std::atomic<bool> wake_pending{false};
 
   // Cross-loop control plane, serviced on wakeup: write-interest requests
-  // for connections this loop homes, accepted fds handed off by the
-  // fallback acceptor, and freshly split shards awaiting adoption (they
-  // stay `moving` — answering kRetryLater — until this loop adds them to
-  // `shards`, because only adopted shards join the WAL group commit).
+  // for connections this loop homes, and freshly split shards awaiting
+  // adoption (they stay `moving` — answering kRetryLater — until this loop
+  // adds them to `shards`, because only adopted shards join the WAL group
+  // commit).
   std::mutex control_mu;
   std::vector<std::shared_ptr<Connection>> pending_arms;
-  std::vector<int> pending_fds;
   std::vector<Shard*> pending_shards;
 
 #if HETSCHED_METRICS_ENABLED
@@ -525,35 +465,22 @@ bool Server::start_listen_sockets(std::string* error) {
   HostPort addr;
   if (!parse_host_port(options_.listen_addr, &addr, error)) return false;
 
-  reuseport_active_ = false;
-#if defined(SO_REUSEPORT)
-  const bool try_reuseport = options_.reuseport && loops_.size() > 1;
-#else
-  const bool try_reuseport = false;
-#endif
-  const std::size_t sockets = try_reuseport ? loops_.size() : 1;
+  // One listen socket per loop; with more than one, SO_REUSEPORT lets the
+  // kernel spread accepts across them.
+  const bool reuseport = loops_.size() > 1;
   std::uint16_t bound_port = addr.port;
-  for (std::size_t i = 0; i < sockets; ++i) {
+  for (auto& lp : loops_) {
     const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
     if (fd < 0) {
       *error = errno_string("socket");
       return false;
     }
+    lp->listen_fd = fd;  // ~Loop closes it on any failure below
     const int one = 1;
     ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-    bool reuseport_ok = false;
-#if defined(SO_REUSEPORT)
-    if (try_reuseport) {
-      reuseport_ok =
-          ::setsockopt(fd, SOL_SOCKET, SO_REUSEPORT, &one, sizeof(one)) == 0;
-    }
-#endif
-    if (try_reuseport && !reuseport_ok) {
-      // Option unsupported at runtime: fall back to the single-acceptor
-      // round-robin handoff (only reachable before any socket is bound).
-      ::close(fd);
-      if (i == 0) break;
-      *error = "SO_REUSEPORT failed after first bind";
+    if (reuseport &&
+        ::setsockopt(fd, SOL_SOCKET, SO_REUSEPORT, &one, sizeof(one)) != 0) {
+      *error = errno_string("setsockopt(SO_REUSEPORT)");
       return false;
     }
     sockaddr_in sa{};
@@ -563,43 +490,17 @@ bool Server::start_listen_sockets(std::string* error) {
     if (::bind(fd, reinterpret_cast<const sockaddr*>(&sa), sizeof(sa)) != 0 ||
         ::listen(fd, 1024) != 0 || !set_nonblocking(fd)) {
       *error = errno_string("bind/listen");
-      ::close(fd);
       return false;
     }
-    if (i == 0) {
+    if (lp->index == 0) {
+      // Later sockets bind the port the first one resolved (port 0 means
+      // ephemeral).
       sockaddr_in bound{};
       socklen_t bound_len = sizeof(bound);
       ::getsockname(fd, reinterpret_cast<sockaddr*>(&bound), &bound_len);
       bound_port = ntohs(bound.sin_port);
       port_ = bound_port;
     }
-    loops_[i]->listen_fd = fd;
-    if (try_reuseport) reuseport_active_ = true;
-  }
-  if (loops_[0]->listen_fd < 0) {
-    // try_reuseport bailed on socket 0: single-acceptor fallback.
-    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (fd < 0) {
-      *error = errno_string("socket");
-      return false;
-    }
-    const int one = 1;
-    ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-    sockaddr_in sa{};
-    sa.sin_family = AF_INET;
-    sa.sin_port = htons(addr.port);
-    ::inet_pton(AF_INET, addr.host.c_str(), &sa.sin_addr);
-    if (::bind(fd, reinterpret_cast<const sockaddr*>(&sa), sizeof(sa)) != 0 ||
-        ::listen(fd, 1024) != 0 || !set_nonblocking(fd)) {
-      *error = errno_string("bind/listen");
-      ::close(fd);
-      return false;
-    }
-    sockaddr_in bound{};
-    socklen_t bound_len = sizeof(bound);
-    ::getsockname(fd, reinterpret_cast<sockaddr*>(&bound), &bound_len);
-    port_ = ntohs(bound.sin_port);
-    loops_[0]->listen_fd = fd;
   }
   return true;
 }
@@ -710,7 +611,7 @@ bool Server::start(std::string* error) {
   }
   for (auto& lp : loops_) {
     if (!lp->poller.add(lp->wake_fds[0], true, false) ||
-        (lp->listen_fd >= 0 && !lp->poller.add(lp->listen_fd, true, false))) {
+        !lp->poller.add(lp->listen_fd, true, false)) {
       *error = "poller registration failed";
       loops_.clear();
       shards_.clear();
@@ -720,7 +621,6 @@ bool Server::start(std::string* error) {
 
   paused_.store(options_.start_paused, std::memory_order_release);
   stopping_.store(false, std::memory_order_release);
-  accept_rr_ = 0;
   loops_reading_.store(static_cast<int>(loop_count),
                        std::memory_order_release);
   loops_draining_.store(static_cast<int>(loop_count),
@@ -1324,43 +1224,21 @@ void Server::loop_accept(Loop& lp) {
       if (errno == EINTR) continue;
       break;  // EAGAIN: accepted everything pending
     }
-    if (!reuseport_active_ && loops_.size() > 1) {
-      // Single-acceptor fallback: loop 0 spreads fds round-robin.
-      const std::size_t target = accept_rr_++ % loops_.size();
-      if (target != lp.index) {
-        Loop& t = *loops_[target];
-        {
-          std::lock_guard<std::mutex> lock(t.control_mu);
-          t.pending_fds.push_back(cfd);
-        }
-        wake_loop(t);
-        continue;
-      }
-    }
     adopt_connection(lp, cfd);
   }
 }
 
 void Server::loop_service_control(Loop& lp) {
   std::vector<std::shared_ptr<Connection>> arms;
-  std::vector<int> fds;
   std::vector<Shard*> new_shards;
   {
     std::lock_guard<std::mutex> lock(lp.control_mu);
     arms.swap(lp.pending_arms);
-    fds.swap(lp.pending_fds);
     new_shards.swap(lp.pending_shards);
   }
   for (Shard* sh : new_shards) {
     lp.shards.push_back(sh);
     sh->moving.store(false, std::memory_order_release);  // open for business
-  }
-  for (const int fd : fds) {
-    if (stopping_.load(std::memory_order_acquire)) {
-      ::close(fd);  // handed off mid-shutdown: nothing will read it
-    } else {
-      adopt_connection(lp, fd);
-    }
   }
   for (const auto& conn : arms) {
     conn->arm_pending.store(false, std::memory_order_release);

@@ -7,12 +7,11 @@
 //               loop 1 ─ epoll ─ owns shards 1, N+1, ...   ──► sockets
 //               ...          (every loop also accepts: SO_REUSEPORT)
 //
-//   * Each loop binds the listen address with SO_REUSEPORT, so the kernel
-//     spreads incoming connections across loops with no shared acceptor
-//     lock.  Where SO_REUSEPORT is unavailable (or disabled via
-//     ServerOptions::reuseport), loop 0 owns the only listen socket and
-//     hands accepted fds to the other loops round-robin through their
-//     wake pipes.
+//   * Each loop binds its own listen socket (with SO_REUSEPORT when there
+//     is more than one loop), so the kernel spreads incoming connections
+//     across loops with no shared acceptor lock.  A connection lives its
+//     whole life on the loop that accepted it.  Linux only: the loops
+//     poll with epoll, and start() fails if SO_REUSEPORT is refused.
 //   * Tenant shards are statically owned by loops (shard s belongs to
 //     loop s % loops).  The common case — a frame naming a shard its
 //     connection's loop owns — runs connection → decode → warm admit →
@@ -132,10 +131,6 @@ struct ServerOptions {
   std::size_t queue_depth = 1024;  // bounded per-shard request queue
   std::size_t batch = 64;          // adaptive batch upper bound (frames)
   std::size_t batch_min = 1;       // adaptive batch lower bound (frames)
-  // One listen socket per loop via SO_REUSEPORT (kernel load-balances
-  // accepts).  false — or an OS without the option — falls back to a
-  // single acceptor on loop 0 that hands fds to loops round-robin.
-  bool reuseport = true;
   int write_timeout_ms = 5000;  // no-progress budget for a blocked peer
                                 // (shutdown flush deadline)
   // A connection whose unsent response backlog exceeds this many bytes is
@@ -212,9 +207,6 @@ class Server {
 
   // Resolved loop count (after start).
   std::size_t loop_count() const { return loops_.size(); }
-  // Whether the listen sockets actually use SO_REUSEPORT (after start) —
-  // false when disabled by options or unsupported by the OS.
-  bool reuseport_active() const { return reuseport_active_; }
   // Connections accepted by loop `i` — the reuseport distribution probe.
   std::uint64_t loop_connections(std::size_t i) const;
 
@@ -318,7 +310,6 @@ class Server {
   ServerOptions options_;
 
   std::uint16_t port_ = 0;
-  bool reuseport_active_ = false;
 
   // shards_ is reserved to kMaxShards at start and only ever grows (by
   // push_back from a resize coordinator), so element addresses are stable
@@ -342,7 +333,6 @@ class Server {
   std::thread pacer_thread_;
   std::mutex pacer_mu_;
   std::condition_variable pacer_cv_;
-  std::size_t accept_rr_ = 0;  // fd handoff cursor (fallback acceptor)
 
   // Shutdown barrier: loops that may still produce into shard queues /
   // connection backlogs.  Queues close only once reading stops globally;

@@ -631,7 +631,6 @@ TEST(NetLoopback, ReuseportSpreadsConnectionsAcrossLoops) {
   Server server(pf, opts);
   std::string err;
   ASSERT_TRUE(server.start(&err)) << err;
-  if (!server.reuseport_active()) GTEST_SKIP() << "no SO_REUSEPORT here";
   ASSERT_EQ(server.loop_count(), 4u);
 
   constexpr std::size_t kClients = 64;
@@ -653,52 +652,59 @@ TEST(NetLoopback, ReuseportSpreadsConnectionsAcrossLoops) {
   }
 }
 
-// With reuseport off, loop 0's single acceptor hands fds round-robin.
-// Each client below then replays the shard the OTHER loop owns, forcing
-// the cross-loop queue path for every frame — checksums must still hold.
-TEST(NetLoopback, FallbackAcceptorRoutesAcrossLoops) {
+// Frames that name a shard another loop owns must cross that loop's shard
+// queue.  Each client below replays a shard owned by the loop it did NOT
+// land on, whichever loop the kernel picked, so every frame takes the
+// cross-loop path — checksums must still hold.
+TEST(NetLoopback, ForeignShardFramesRouteAcrossLoops) {
+  constexpr int kClients = 2;
   const Platform pf = geometric_platform(4, 1.5);
-  const ChurnTrace traces[2] = {make_trace(11, 200), make_trace(12, 200)};
-  std::uint64_t offline[2];
-  for (int i = 0; i < 2; ++i) {
-    offline[i] =
-        offline_decision_checksum(pf, traces[i], AdmissionKind::kEdf, 1.0);
+  const ChurnTrace traces[kClients] = {make_trace(11, 200),
+                                       make_trace(12, 200)};
+  std::uint64_t offline[kClients];
+  for (int k = 0; k < kClients; ++k) {
+    offline[k] =
+        offline_decision_checksum(pf, traces[k], AdmissionKind::kEdf, 1.0);
   }
 
   ServerOptions opts;
-  opts.shards = 2;
+  opts.shards = 4;
   opts.loops = 2;
-  opts.reuseport = false;
   Server server(pf, opts);
   std::string err;
   ASSERT_TRUE(server.start(&err)) << err;
-  EXPECT_FALSE(server.reuseport_active());
+  ASSERT_EQ(server.loop_count(), 2u);
 
-  // Connect sequentially so the handoff is deterministic: client 0 lands
-  // on loop 0, client 1 on loop 1 (round-robin from loop 0's acceptor).
-  Client clients[2];
-  ASSERT_TRUE(clients[0].connect(loopback_addr(server), 2000, &err)) << err;
-  ASSERT_TRUE(eventually([&] { return server.stats().connections == 1; }));
-  ASSERT_TRUE(clients[1].connect(loopback_addr(server), 2000, &err)) << err;
-  ASSERT_TRUE(eventually([&] { return server.stats().connections == 2; }));
-  EXPECT_EQ(server.loop_connections(0), 1u);
-  EXPECT_EQ(server.loop_connections(1), 1u);
+  // Connect one at a time so each client's loop is the one whose accept
+  // count moved.  Client k then replays shard 2k + (1 - its loop): shard s
+  // is owned by loop s % 2, so that is always the other loop, and no two
+  // clients share a shard.
+  Client clients[kClients];
+  std::uint16_t shard[kClients];
+  for (int k = 0; k < kClients; ++k) {
+    const std::uint64_t before0 = server.loop_connections(0);
+    ASSERT_TRUE(clients[k].connect(loopback_addr(server), 2000, &err)) << err;
+    ASSERT_TRUE(eventually([&] {
+      return server.loop_connections(0) + server.loop_connections(1) ==
+             static_cast<std::uint64_t>(k + 1);
+    }));
+    const int loop = server.loop_connections(0) > before0 ? 0 : 1;
+    shard[k] = static_cast<std::uint16_t>(2 * k + (1 - loop));
+  }
 
-  ReplaySummary sums[2];
-  std::thread workers[2];
-  for (int i = 0; i < 2; ++i) {
-    workers[i] = std::thread([&, i] {
-      // Client i sits on loop i; shard 1 - i is owned by loop 1 - i.
-      sums[i] = replay_trace_over_client(clients[i], traces[1 - i],
-                                         static_cast<std::uint16_t>(1 - i), 32,
-                                         5000);
+  ReplaySummary sums[kClients];
+  std::thread workers[kClients];
+  for (int k = 0; k < kClients; ++k) {
+    workers[k] = std::thread([&, k] {
+      sums[k] =
+          replay_trace_over_client(clients[k], traces[k], shard[k], 32, 5000);
     });
   }
   for (std::thread& t : workers) t.join();
-  for (int i = 0; i < 2; ++i) {
-    ASSERT_TRUE(sums[i].ok) << clients[i].last_error();
-    ASSERT_EQ(sums[i].retried, 0u);
-    EXPECT_EQ(sums[i].checksum, offline[1 - i]) << "connection " << i;
+  for (int k = 0; k < kClients; ++k) {
+    ASSERT_TRUE(sums[k].ok) << clients[k].last_error();
+    ASSERT_EQ(sums[k].retried, 0u);
+    EXPECT_EQ(sums[k].checksum, offline[k]) << "client " << k;
   }
   const ServerStats s = server.stats();
   EXPECT_EQ(s.frames_inline, 0u);  // every frame crossed loops

@@ -30,33 +30,25 @@
 //       and migration counts.  --stats appends the end-of-trace metrics
 //       snapshot (see below); --trace-out records per-decision events and
 //       writes them as JSONL (requires -DHETSCHED_METRICS=ON).
-//   hetsched_cli serve [--admission KIND] [--alpha X] [--engine E]
-//       [--stats-interval N] [--trace-out FILE] [--admission-test T]
-//       [--admit-band X] [--release-overhead N] [--preempt-overhead N]
-//       Stream trace directives from stdin through a live controller and
-//       answer each one ("admit <task> -> machine <j>" / "reject <task>").
-//       With --stats-interval N, a metrics snapshot is printed after every
-//       N processed directives.  SIGINT/SIGTERM stop the stream cleanly:
-//       the final snapshot (and --trace-out ring) is flushed and the
-//       process exits 0.
 //   hetsched_cli serve --listen <host:port> [--shards N] [--loops L]
 //       [--admission KIND] [--alpha X] [--engine E] [--queue-depth D]
-//       [--batch K] [--batch-min K] [--no-reuseport]
+//       [--batch K] [--batch-min K]
 //       [--machines M] [--ratio R | --platform FILE] [--port-file FILE]
 //       [--stats-interval SECONDS] [--trace-out FILE] [--admission-test T]
 //       [--admit-band X] [--release-overhead N] [--preempt-overhead N]
-//       Network mode: run the sharded TCP admission service (src/net/) on
+//       Run the sharded TCP admission service (src/net/, Linux only) on
 //       the given address (port 0 picks an ephemeral port, written to
-//       --port-file for scripts).  Each shard serves an independent copy
-//       of the platform (--platform takes an instance file; otherwise a
-//       geometric platform of --machines M and --ratio R).  --loops sets
-//       the event-loop (acceptor) thread count; 0 = one per core, capped
-//       by the shard count.  Each loop normally has its own SO_REUSEPORT
-//       listen socket; --no-reuseport forces the single-acceptor fallback
-//       (loop 0 hands fds round-robin).  The per-round drain budget
-//       adapts between --batch-min and --batch frames.  In this mode
-//       --stats-interval is in seconds.  SIGINT/SIGTERM drain the shard
-//       queues, flush responses and the final snapshot, and exit 0.
+//       --port-file for scripts).  --listen is required: `serve` without
+//       it exits 2 (use `replay` to run a trace through one controller).
+//       Each shard serves an independent copy of the platform (--platform
+//       takes an instance file; otherwise a geometric platform of
+//       --machines M and --ratio R).  --loops sets the event-loop
+//       (acceptor) thread count; 0 = one per core, capped by the shard
+//       count.  Each loop has its own listen socket (SO_REUSEPORT when
+//       there is more than one).  The per-round drain budget adapts
+//       between --batch-min and --batch frames.  --stats-interval prints
+//       a metrics snapshot every N seconds.  SIGINT/SIGTERM drain the
+//       shard queues, flush responses and the final snapshot, and exit 0.
 //       Durability: --wal-dir DIR logs every decision to per-shard WALs
 //       before its response is sent and recovers from DIR on start;
 //       --wal-sync always|batch|off picks the fsync policy (default
@@ -88,7 +80,8 @@
 //       decision stream record by record (seq + FNV-1a checksum), rotate
 //       the logs (fresh snapshot, truncated WAL), and print a per-shard
 //       summary.  The admission configuration must match what the logs
-//       were written under — serve's corresponding flags, same defaults.
+//       were written under: recover parses serve's controller flags with
+//       the same code and defaults.
 //       Exits non-zero if any shard's log fails verification.  When DIR
 //       holds a flight-recorder dump (flight.jsonl — written by SIGUSR1
 //       or the crash handler), its tail is printed with the summary.
@@ -120,9 +113,7 @@
 #include <cstring>
 #include <ctime>
 #include <fstream>
-#include <iostream>
 #include <map>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -162,8 +153,7 @@ struct Args {
   std::map<std::string, std::string> flags;
 
   static bool boolean_flag(const std::string& key) {
-    return key == "stats" || key == "quick" || key == "no-reuseport" ||
-           key == "tracing";
+    return key == "stats" || key == "quick" || key == "tracing";
   }
 
   static Args parse(int argc, char** argv, int from) {
@@ -248,6 +238,43 @@ std::optional<Instance> load_or_complain(const std::string& path) {
     return std::nullopt;
   }
   return std::move(parsed.value);
+}
+
+// What a shard controller is built from.  serve --listen and recover parse
+// it with the same code, so recover rebuilds shards under exactly the
+// configuration serve logged them with.
+struct ControllerConfig {
+  Platform platform;
+  AdmissionKind kind = AdmissionKind::kEdf;
+  double alpha = 1.0;
+  PartitionEngine engine = PartitionEngine::kAuto;
+  admit::AdmitConfig admit;
+};
+
+// --platform FILE or --machines M --ratio R, --admission, --alpha,
+// --engine, and the --admission-test flags.  Returns 0, or the exit code
+// for a bad flag (2) or an unreadable platform file (1).
+int controller_config_flags(const Args& args, ControllerConfig* out) {
+  const auto kind = admission_from_name(args.get("admission", "edf"));
+  if (!kind) return usage();
+  const auto engine = engine_flag(args);
+  if (!engine) return usage();
+  out->kind = *kind;
+  out->engine = *engine;
+  out->alpha = args.get_double("alpha", 1.0);
+  if (!admit_config_flag(args, &out->admit)) return 2;
+  const std::string platform_file = args.get("platform", "");
+  if (!platform_file.empty()) {
+    const auto inst = load_or_complain(platform_file);
+    if (!inst) return 1;
+    out->platform = inst->platform;
+  } else {
+    const auto m = static_cast<std::size_t>(args.get_long("machines", 4));
+    const double ratio = args.get_double("ratio", 1.5);
+    if (m == 0 || ratio < 1.0) return usage();
+    out->platform = geometric_platform(m, ratio);
+  }
+  return 0;
 }
 
 int cmd_test(const Args& args) {
@@ -456,6 +483,22 @@ int cmd_generate_trace(const Args& args) {
   return 0;
 }
 
+// Flushes the obs trace ring to --trace-out (when requested): the shared
+// tail of replay and serve.
+int flush_trace_ring(const std::string& trace_out) {
+  if (trace_out.empty()) return 0;
+  obs::set_trace_enabled(false);
+  const std::vector<obs::TraceEvent> events = obs::trace_drain();
+  if (!save_trace_jsonl(events, trace_out)) {
+    std::fprintf(stderr, "error: cannot write %s\n", trace_out.c_str());
+    return 1;
+  }
+  std::printf("[trace: %s, %zu events, %llu dropped]\n", trace_out.c_str(),
+              events.size(),
+              static_cast<unsigned long long>(obs::trace_dropped()));
+  return 0;
+}
+
 int cmd_replay(const Args& args) {
   if (args.positional.empty()) return usage();
   auto parsed = load_trace(args.positional[0]);
@@ -490,53 +533,11 @@ int cmd_replay(const Args& args) {
   std::printf("online acceptance %.4f vs clairvoyant %.4f\n",
               res.online_acceptance(), res.clairvoyant_acceptance());
 
-  if (!trace_out.empty()) {
-    obs::set_trace_enabled(false);
-    const std::vector<obs::TraceEvent> events = obs::trace_drain();
-    if (!save_trace_jsonl(events, trace_out)) {
-      std::fprintf(stderr, "error: cannot write %s\n", trace_out.c_str());
-      return 1;
-    }
-    std::printf("[trace: %s, %zu events, %llu dropped]\n", trace_out.c_str(),
-                events.size(),
-                static_cast<unsigned long long>(obs::trace_dropped()));
-  }
+  if (flush_trace_ring(trace_out) != 0) return 1;
   if (args.has("stats")) {
     std::printf("--- metrics snapshot (end of trace) ---\n%s",
                 obs::registry().expose().c_str());
   }
-  return 0;
-}
-
-// SIGINT/SIGTERM flag for the stdin serve loop.  The handler is installed
-// WITHOUT SA_RESTART so a blocked getline returns with EINTR, the loop
-// exits, and the final snapshot still prints — a drain, not a kill.
-volatile std::sig_atomic_t g_serve_stop = 0;
-
-void serve_stop_handler(int) { g_serve_stop = 1; }
-
-void install_stop_handlers() {
-  struct sigaction sa {};
-  sa.sa_handler = serve_stop_handler;
-  sigemptyset(&sa.sa_mask);
-  sa.sa_flags = 0;  // no SA_RESTART: interrupt the blocking read
-  sigaction(SIGINT, &sa, nullptr);
-  sigaction(SIGTERM, &sa, nullptr);
-}
-
-// Shared tail of both serve modes: flush the obs trace ring to
-// --trace-out (when requested) before exiting.
-int flush_trace_ring(const std::string& trace_out) {
-  if (trace_out.empty()) return 0;
-  obs::set_trace_enabled(false);
-  const std::vector<obs::TraceEvent> events = obs::trace_drain();
-  if (!save_trace_jsonl(events, trace_out)) {
-    std::fprintf(stderr, "error: cannot write %s\n", trace_out.c_str());
-    return 1;
-  }
-  std::printf("[trace: %s, %zu events, %llu dropped]\n", trace_out.c_str(),
-              events.size(),
-              static_cast<unsigned long long>(obs::trace_dropped()));
   return 0;
 }
 
@@ -583,38 +584,30 @@ int cmd_tracez(const Args& args) {
   return 0;
 }
 
-// Network serve mode: the sharded TCP admission service of src/net/.
-int cmd_serve_net(const Args& args) {
-  const auto kind = admission_from_name(args.get("admission", "edf"));
-  if (!kind) return usage();
-  const auto engine = engine_flag(args);
-  if (!engine) return usage();
-
-  Platform platform;
-  const std::string platform_file = args.get("platform", "");
-  if (!platform_file.empty()) {
-    const auto inst = load_or_complain(platform_file);
-    if (!inst) return 1;
-    platform = inst->platform;
-  } else {
-    const auto m = static_cast<std::size_t>(args.get_long("machines", 4));
-    const double ratio = args.get_double("ratio", 1.5);
-    if (m == 0 || ratio < 1.0) return usage();
-    platform = geometric_platform(m, ratio);
+// The sharded TCP admission service of src/net/.
+int cmd_serve(const Args& args) {
+  if (!args.has("listen")) {
+    std::fprintf(stderr,
+                 "error: serve requires --listen: use `serve --listen "
+                 "HOST:PORT` for the network service, or `replay "
+                 "<tracefile>` to run a trace through one controller\n");
+    return 2;
   }
+  ControllerConfig cfg;
+  if (const int rc = controller_config_flags(args, &cfg); rc != 0) return rc;
 
   net::ServerOptions options;
   options.listen_addr = args.get("listen", "127.0.0.1:0");
   options.shards = static_cast<std::size_t>(args.get_long("shards", 1));
-  options.kind = *kind;
-  options.alpha = args.get_double("alpha", 1.0);
-  options.engine = *engine;
+  options.kind = cfg.kind;
+  options.alpha = cfg.alpha;
+  options.engine = cfg.engine;
+  options.admit = cfg.admit;
   options.loops = static_cast<std::size_t>(args.get_long("loops", 0));
   options.queue_depth =
       static_cast<std::size_t>(args.get_long("queue-depth", 1024));
   options.batch = static_cast<std::size_t>(args.get_long("batch", 64));
   options.batch_min = static_cast<std::size_t>(args.get_long("batch-min", 1));
-  options.reuseport = !args.has("no-reuseport");
   options.wal_dir = args.get("wal-dir", "");
   if (!io::parse_wal_sync(args.get("wal-sync", "batch"), &options.wal_sync)) {
     std::fprintf(stderr, "error: --wal-sync must be always|batch|off\n");
@@ -622,7 +615,6 @@ int cmd_serve_net(const Args& args) {
   }
   options.snapshot_every =
       static_cast<std::size_t>(args.get_long("snapshot-every", 65536));
-  if (!admit_config_flag(args, &options.admit)) return 2;
   options.slo_ns =
       static_cast<std::uint64_t>(args.get_long("slo-us", 1000)) * 1000;
   const auto stats_interval = args.get_long("stats-interval", 0);
@@ -657,7 +649,7 @@ int cmd_serve_net(const Args& args) {
   sigaddset(&stop_set, SIGUSR1);
   pthread_sigmask(SIG_BLOCK, &stop_set, nullptr);
 
-  net::Server server(platform, options);
+  net::Server server(cfg.platform, options);
   std::string error;
   if (!server.start(&error)) {
     std::fprintf(stderr, "error: %s\n", error.c_str());
@@ -685,12 +677,11 @@ int cmd_serve_net(const Args& args) {
     }
   }
   std::printf("listening on port %u: %zu shard(s) of %s/%s alpha=%.3f on %zu "
-              "machines (%zu loop(s), %s, queue %zu, batch %zu-%zu)\n",
-              server.port(), server.shard_count(), to_string(*kind).c_str(),
-              admit::to_string(options.admit.test).c_str(),
-              options.alpha, platform.size(), server.loop_count(),
-              server.reuseport_active() ? "reuseport" : "single-acceptor",
-              options.queue_depth, options.batch_min, options.batch);
+              "machines (%zu loop(s), queue %zu, batch %zu-%zu)\n",
+              server.port(), server.shard_count(), to_string(cfg.kind).c_str(),
+              admit::to_string(cfg.admit.test).c_str(), cfg.alpha,
+              cfg.platform.size(), server.loop_count(), options.queue_depth,
+              options.batch_min, options.batch);
   if (!options.wal_dir.empty()) {
     const net::ServerStats rs = server.stats();
     std::printf("durability: wal-dir %s, sync %s, snapshot every %zu "
@@ -780,31 +771,13 @@ int cmd_serve_net(const Args& args) {
 // path (net/shard_store.h), so "recover then serve" and "serve with
 // --wal-dir" land in bit-identical states.
 int cmd_recover(const Args& args) {
-  const auto kind = admission_from_name(args.get("admission", "edf"));
-  if (!kind) return usage();
-  const auto engine = engine_flag(args);
-  if (!engine) return usage();
   const std::string dir = args.get("wal-dir", "");
   if (dir.empty()) {
     std::fprintf(stderr, "error: recover requires --wal-dir DIR\n");
     return 2;
   }
-
-  Platform platform;
-  const std::string platform_file = args.get("platform", "");
-  if (!platform_file.empty()) {
-    const auto inst = load_or_complain(platform_file);
-    if (!inst) return 1;
-    platform = inst->platform;
-  } else {
-    const auto m = static_cast<std::size_t>(args.get_long("machines", 4));
-    const double ratio = args.get_double("ratio", 1.5);
-    if (m == 0 || ratio < 1.0) return usage();
-    platform = geometric_platform(m, ratio);
-  }
-  const double alpha = args.get_double("alpha", 1.0);
-  admit::AdmitConfig admit_cfg;
-  if (!admit_config_flag(args, &admit_cfg)) return 2;
+  ControllerConfig cfg;
+  if (const int rc = controller_config_flags(args, &cfg); rc != 0) return rc;
 
   std::size_t shard_count =
       static_cast<std::size_t>(args.get_long("shards", 0));
@@ -821,7 +794,7 @@ int cmd_recover(const Args& args) {
   ptrs.reserve(shard_count);
   for (std::size_t i = 0; i < shard_count; ++i) {
     controllers.push_back(std::make_unique<OnlinePartitioner>(
-        platform, *kind, alpha, *engine, admit_cfg));
+        cfg.platform, cfg.kind, cfg.alpha, cfg.engine, cfg.admit));
     ptrs.push_back(controllers.back().get());
   }
   const net::ShardSetRecovery rec = net::recover_shard_set(
@@ -870,173 +843,6 @@ int cmd_recover(const Args& args) {
     for (const std::string& t : tail) std::printf("  %s\n", t.c_str());
   }
   return 0;
-}
-
-// Streams trace directives from stdin through a live controller, answering
-// each line immediately — admission control as a service, minus the RPC.
-int cmd_serve(const Args& args) {
-  if (args.has("listen")) return cmd_serve_net(args);
-  const auto kind = admission_from_name(args.get("admission", "edf"));
-  if (!kind) return usage();
-  const auto engine = engine_flag(args);
-  if (!engine) return usage();
-  const double alpha = args.get_double("alpha", 1.0);
-  admit::AdmitConfig admit_cfg;
-  if (!admit_config_flag(args, &admit_cfg)) return 2;
-  const auto stats_interval =
-      static_cast<std::size_t>(args.get_long("stats-interval", 0));
-  const std::string trace_out = args.get("trace-out", "");
-  if ((stats_interval > 0 || !trace_out.empty()) && !obs::kMetricsCompiled) {
-    std::fprintf(stderr,
-                 "warning: this binary was built without "
-                 "-DHETSCHED_METRICS=ON; snapshots and traces are empty\n");
-  }
-  if (!trace_out.empty()) obs::set_trace_enabled(true);
-  install_stop_handlers();
-
-  std::optional<OnlinePartitioner> controller;
-  std::map<std::uint64_t, OnlineTaskId> ids;
-  std::string line;
-  std::size_t lineno = 0;
-  std::size_t directives = 0;
-  while (!g_serve_stop && std::getline(std::cin, line)) {
-    ++lineno;
-    const auto hash = line.find('#');
-    if (hash != std::string::npos) line.resize(hash);
-    std::istringstream is(line);
-    std::vector<std::string> tokens;
-    std::string tok;
-    while (is >> tok) tokens.push_back(tok);
-    if (tokens.empty()) continue;
-
-    auto complain = [&](const char* what) {
-      std::printf("error line %zu: %s\n", lineno, what);
-      std::fflush(stdout);
-    };
-    if (tokens[0] == "platform") {
-      if (controller.has_value()) {
-        complain("duplicate platform directive");
-        continue;
-      }
-      std::vector<Rational> speeds;
-      bool ok = tokens.size() >= 2;
-      for (std::size_t t = 1; ok && t < tokens.size(); ++t) {
-        const auto s = parse_speed_token(tokens[t]);
-        if (!s || !(*s > Rational(0))) ok = false;
-        else speeds.push_back(*s);
-      }
-      if (!ok) {
-        complain("platform needs positive speeds");
-        continue;
-      }
-      controller.emplace(Platform::from_speeds_exact(speeds), *kind, alpha,
-                         *engine, admit_cfg);
-      std::printf("serving %s/%s alpha=%.3f on %zu machines\n",
-                  to_string(*kind).c_str(),
-                  admit::to_string(admit_cfg.test).c_str(), alpha,
-                  speeds.size());
-    } else if (tokens[0] == "arrive") {
-      if (!controller) {
-        complain("arrive before platform");
-        continue;
-      }
-      if (tokens.size() != 5 && tokens.size() != 6) {
-        complain("arrive needs <time> <task> <exec> <period> [<deadline>]");
-        continue;
-      }
-      const auto task_no = parse_int_token(tokens[2]);
-      const auto exec = parse_int_token(tokens[3]);
-      const auto period = parse_int_token(tokens[4]);
-      if (!task_no || *task_no < 0 || !exec || !period) {
-        complain("bad arrive parameters");
-        continue;
-      }
-      std::int64_t deadline = 0;
-      if (tokens.size() == 6) {
-        const auto d = parse_int_token(tokens[5]);
-        if (!d || *d <= 0 || *d > *period) {
-          complain("deadline must be in (0, period]");
-          continue;
-        }
-        if (!controller->tiered()) {
-          complain("constrained deadline needs --admission-test != legacy");
-          continue;
-        }
-        deadline = *d;
-      }
-      const Task t{*exec, *period, deadline};
-      if (!t.valid()) {
-        complain("task parameters must be positive");
-        continue;
-      }
-      const AdmitDecision d = controller->admit(t);
-      if (d.admitted) {
-        ids[static_cast<std::uint64_t>(*task_no)] = d.id;
-        std::printf("admit %s -> machine %zu (w=%.4f, resident %zu)\n",
-                    tokens[2].c_str(), d.machine, d.utilization,
-                    controller->resident_count());
-      } else {
-        std::printf("reject %s (w=%.4f fits nowhere)\n", tokens[2].c_str(),
-                    d.utilization);
-      }
-    } else if (tokens[0] == "depart") {
-      if (!controller) {
-        complain("depart before platform");
-        continue;
-      }
-      if (tokens.size() != 3) {
-        complain("depart needs <time> <task>");
-        continue;
-      }
-      const auto task_no = parse_int_token(tokens[2]);
-      if (!task_no || *task_no < 0) {
-        complain("bad task number");
-        continue;
-      }
-      const auto it = ids.find(static_cast<std::uint64_t>(*task_no));
-      if (it == ids.end() || !controller->depart(it->second)) {
-        std::printf("depart %s: not resident\n", tokens[2].c_str());
-      } else {
-        ids.erase(it);
-        std::printf("depart %s ok (resident %zu)\n", tokens[2].c_str(),
-                    controller->resident_count());
-      }
-    } else if (tokens[0] == "rebalance") {
-      if (!controller) {
-        complain("rebalance before platform");
-        continue;
-      }
-      const RebalanceReport r = controller->rebalance();
-      std::printf("rebalance %s: %zu residents, %zu migrations\n",
-                  r.applied ? "applied" : "skipped", r.resident, r.migrations);
-    } else if (tokens[0] == "status") {
-      if (!controller) {
-        complain("status before platform");
-        continue;
-      }
-      std::printf("%s\n", controller->to_string().c_str());
-    } else {
-      complain("unknown directive");
-      std::fflush(stdout);
-      continue;
-    }
-    ++directives;
-    if (stats_interval > 0 && directives % stats_interval == 0) {
-      std::printf("--- metrics snapshot (after %zu directives) ---\n%s",
-                  directives, obs::registry().expose().c_str());
-    }
-    std::fflush(stdout);
-  }
-  if (g_serve_stop != 0) {
-    std::printf("stopping: drained after %zu directives\n", directives);
-  }
-  if (stats_interval > 0) {
-    std::printf("--- metrics snapshot (final, %zu directives) ---\n%s",
-                directives, obs::registry().expose().c_str());
-  }
-  const int trace_rc = flush_trace_ring(trace_out);
-  std::fflush(stdout);
-  return trace_rc;
 }
 
 int run(int argc, char** argv) {
