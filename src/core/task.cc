@@ -11,11 +11,18 @@ namespace hetsched {
 
 namespace {
 
+// One radix record: the complemented utilization bits and the task index,
+// moved together so each scatter step reads and writes one 16-byte record.
+struct OrderRecord {
+  std::uint64_t key;
+  std::uint32_t idx;
+};
+static_assert(sizeof(OrderRecord) == 16);
+
 // Ping-pong buffers for the radix passes, reused across calls per thread so
 // large repeated orderings (the partitioning fast path) never reallocate.
 struct OrderScratch {
-  std::array<std::vector<std::uint64_t>, 2> keys;
-  std::array<std::vector<std::uint32_t>, 2> idx;
+  std::array<std::vector<OrderRecord>, 2> rec;
 };
 
 OrderScratch& order_scratch() {
@@ -68,7 +75,8 @@ void TaskSet::order_by_utilization_desc(std::vector<std::size_t>& out) const {
   //    positive doubles the bit pattern is order-monotone; complementing
   //    gives descending order).  Counting-scatter passes are stable, so
   //    double-equal tasks emerge in index order, and a repair pass then
-  //    stable-sorts each double-equal run with the exact comparison.
+  //    stable-sorts each double-equal run that mixes distinct rationals
+  //    with the exact comparison.
   //
   // Both therefore yield the identical permutation.  The radix path is what
   // makes the O(n log n) ordering cheap enough that the segment-tree
@@ -79,6 +87,10 @@ void TaskSet::order_by_utilization_desc(std::vector<std::size_t>& out) const {
     const int128 lhs = static_cast<int128>(tasks_[a].exec) * tasks_[b].period;
     const int128 rhs = static_cast<int128>(tasks_[b].exec) * tasks_[a].period;
     return lhs > rhs;
+  };
+  const auto exact_equal = [this](std::size_t a, std::size_t b) {
+    return static_cast<int128>(tasks_[a].exec) * tasks_[b].period ==
+           static_cast<int128>(tasks_[b].exec) * tasks_[a].period;
   };
 
   if (n < 128) {
@@ -99,48 +111,54 @@ void TaskSet::order_by_utilization_desc(std::vector<std::size_t>& out) const {
 
   HETSCHED_CHECK(n <= 0xFFFFFFFFu);
   OrderScratch& s = order_scratch();
-  for (auto& k : s.keys) k.resize(n);
-  for (auto& ix : s.idx) ix.resize(n);
+  for (auto& r : s.rec) r.resize(n);
+  // One pass computes every key and all eight digit histograms: a counting
+  // histogram does not depend on the order the keys are visited in.
+  std::array<std::array<std::uint32_t, 256>, 8> count{};
   for (std::size_t i = 0; i < n; ++i) {
     // Complement: ascending radix order == descending utilization.
-    s.keys[0][i] = ~std::bit_cast<std::uint64_t>(tasks_[i].utilization());
-    s.idx[0][i] = static_cast<std::uint32_t>(i);
+    const std::uint64_t key =
+        ~std::bit_cast<std::uint64_t>(tasks_[i].utilization());
+    s.rec[0][i] = {key, static_cast<std::uint32_t>(i)};
+    for (std::size_t pass = 0; pass < 8; ++pass) {
+      ++count[pass][(key >> (pass * 8)) & 0xFF];
+    }
   }
   std::size_t cur = 0;
-  for (int pass = 0; pass < 8; ++pass) {
-    const int shift = pass * 8;
-    std::array<std::size_t, 256> count{};
-    for (std::size_t i = 0; i < n; ++i) {
-      ++count[(s.keys[cur][i] >> shift) & 0xFF];
-    }
-    if (std::any_of(count.begin(), count.end(),
-                    [n](std::size_t c) { return c == n; })) {
+  for (std::size_t pass = 0; pass < 8; ++pass) {
+    const std::size_t shift = pass * 8;
+    if (count[pass][(s.rec[cur][0].key >> shift) & 0xFF] == n) {
       continue;  // all keys share this digit; the pass would be a no-op
     }
-    std::array<std::size_t, 256> offset{};
-    std::size_t sum = 0;
+    std::array<std::uint32_t, 256> offset{};
+    std::uint32_t sum = 0;
     for (std::size_t d = 0; d < 256; ++d) {
       offset[d] = sum;
-      sum += count[d];
+      sum += count[pass][d];
     }
     const std::size_t nxt = 1 - cur;
+    const OrderRecord* src = s.rec[cur].data();
+    OrderRecord* dst = s.rec[nxt].data();
     for (std::size_t i = 0; i < n; ++i) {
-      const std::size_t dst = offset[(s.keys[cur][i] >> shift) & 0xFF]++;
-      s.keys[nxt][dst] = s.keys[cur][i];
-      s.idx[nxt][dst] = s.idx[cur][i];
+      dst[offset[(src[i].key >> shift) & 0xFF]++] = src[i];
     }
     cur = nxt;
   }
-  for (std::size_t i = 0; i < n; ++i) {
-    out[i] = s.idx[cur][i];
-  }
-  // Repair double-equal runs with the exact comparison (stable, so the
-  // index tiebreak is inherited from the radix passes).
+  const std::vector<OrderRecord>& sorted = s.rec[cur];
+  for (std::size_t i = 0; i < n; ++i) out[i] = sorted[i].idx;
+  // Repair double-equal runs with the exact comparison.  The radix passes
+  // are stable, so each run is in index order, which is already the exact
+  // order when every task in it has the same rational utilization; only a
+  // run mixing distinct rationals needs the (stable) sort.
   std::size_t i = 0;
   while (i < n) {
     std::size_t j = i + 1;
-    while (j < n && s.keys[cur][j] == s.keys[cur][i]) ++j;
-    if (j - i > 1) {
+    bool mixed = false;
+    while (j < n && sorted[j].key == sorted[i].key) {
+      mixed = mixed || !exact_equal(out[i], out[j]);
+      ++j;
+    }
+    if (mixed) {
       std::stable_sort(out.begin() + static_cast<std::ptrdiff_t>(i),
                        out.begin() + static_cast<std::ptrdiff_t>(j),
                        exact_desc);

@@ -1,16 +1,18 @@
 // Implementation of the batch first-fit API (partition/first_fit.h).
 //
-// Since the online re-layering, the full-result batch path is a thin
-// wrapper over OnlinePartitioner: construct a controller and admit the
-// tasks in canonical (utilization-descending) order, so the batch and
-// online paths share one admission code path and stay bit-identical
-// (tests/online_equivalence_test.cpp).  The decision-only accept path and
-// the alpha bisection keep their allocation-free PartitionScratch engine —
-// the same slack arithmetic via admission_fold_step, without the
-// controller's assignment bookkeeping.
+// All three batch entry points — first_fit_partition, first_fit_accepts and
+// min_feasible_alpha — run on one allocation-free scratch engine: the
+// canonical (utilization-descending) order, then first fit over the
+// per-machine slack array through admission_fold_step and SlackTree.
+// OnlinePartitioner (online/online_partitioner.h) is the online engine and
+// decides through the same two primitives, so the batch and online paths
+// make bit-identical decisions; tests/online_equivalence_test.cpp pins that
+// across seeded instances, and in audit builds each engine checks the
+// other.  kRmsResponseTime has no slack form and runs a MachineLoad scan.
 #include "partition/first_fit.h"
 
 #include <iomanip>
+#include <span>
 #include <sstream>
 
 #include "online/online_partitioner.h"
@@ -62,10 +64,13 @@ void reset_machines(const Platform& platform, AdmissionKind kind, double alpha,
 // Runs first fit over the prepared order using the resolved engine
 // (kNaive = linear scan over the slack array, kSegmentTree = tree descent;
 // identical comparisons either way).  Returns the position in s.order of
-// the first task that fits nowhere, or tasks.size() if all fit.
+// the first task that fits nowhere, or s.order.size() if all fit.  When
+// `assignment` is non-null, assignment[i] receives each placed task's
+// machine.
 // HETSCHED_NOALLOC
-std::size_t run_slack_engine(const TaskSet& tasks, AdmissionKind kind,
-                             PartitionEngine resolved, PartitionScratch& s) {
+std::size_t run_slack_engine(AdmissionKind kind, PartitionEngine resolved,
+                             PartitionScratch& s,
+                             std::size_t* assignment = nullptr) {
   const std::size_t m = s.slack.size();
   const bool use_tree = resolved == PartitionEngine::kSegmentTree;
   if (use_tree) s.tree.build(s.slack);
@@ -84,33 +89,66 @@ std::size_t run_slack_engine(const TaskSet& tasks, AdmissionKind kind,
     admission_fold_step(kind, w, s.capacity[j], s.util_sum[j], s.hyper[j],
                         s.count[j], s.slack[j]);
     if (use_tree) s.tree.update(j, s.slack[j]);
+    if (assignment != nullptr) assignment[i] = j;
   }
-  return tasks.size();
+  return s.order.size();
 }
 
-// Decision-only scan for kinds without a slack form (kRmsResponseTime):
-// MachineLoad-based, allocates, but skips all result construction.
-bool naive_accepts_only(const TaskSet& tasks, const Platform& platform,
-                        AdmissionKind kind, double alpha) {
+// First fit through MachineLoad for kinds without a slack form
+// (kRmsResponseTime); allocates.  Returns the stop position in `order` as
+// run_slack_engine does.  When `out` is non-null, fills its assignment,
+// per-machine loads and per-machine task lists.
+std::size_t run_machine_loads(const TaskSet& tasks, const Platform& platform,
+                              AdmissionKind kind, double alpha,
+                              std::span<const std::size_t> order,
+                              PartitionResult* out) {
   std::vector<MachineLoad> loads;
   loads.reserve(platform.size());
   for (std::size_t j = 0; j < platform.size(); ++j) {
     loads.emplace_back(kind, platform.speed_exact(j), alpha);
   }
-  for (const std::size_t i : tasks.order_by_utilization_desc()) {
+  std::size_t pos = 0;
+  for (; pos < order.size(); ++pos) {
+    const std::size_t i = order[pos];
     const Task& t = tasks[i];
-    bool placed = false;
-    for (std::size_t j = 0; j < loads.size(); ++j) {
-      if (loads[j].can_admit(t)) {
-        loads[j].admit(t);
-        placed = true;
-        break;
-      }
-    }
-    if (!placed) return false;
+    std::size_t j = 0;
+    while (j < loads.size() && !loads[j].can_admit(t)) ++j;
+    if (j == loads.size()) break;
+    loads[j].admit(t);
+    if (out != nullptr) out->assignment[i] = j;
   }
-  return true;
+  if (out != nullptr) {
+    out->machine_utilization.resize(loads.size());
+    out->tasks_per_machine.resize(loads.size());
+    for (std::size_t j = 0; j < loads.size(); ++j) {
+      out->machine_utilization[j] = loads[j].utilization();
+      out->tasks_per_machine[j] = loads[j].take_tasks();
+    }
+  }
+  return pos;
 }
+
+#if HETSCHED_AUDIT_ENABLED
+// Independent oracle for the scratch engine: replays `order` through a
+// fresh OnlinePartitioner, stopping at the first rejection as first fit
+// does.  Returns the stop position; `assignment` gets each placed task's
+// machine (platform.size() for the rest).
+std::size_t audit_online_replay(const TaskSet& tasks, const Platform& platform,
+                                AdmissionKind kind, double alpha,
+                                PartitionEngine engine,
+                                std::span<const std::size_t> order,
+                                std::vector<std::size_t>& assignment) {
+  OnlinePartitioner replay(platform, kind, alpha, engine);
+  replay.reserve(order.size());
+  assignment.assign(tasks.size(), platform.size());
+  for (std::size_t pos = 0; pos < order.size(); ++pos) {
+    const AdmitDecision d = replay.admit(tasks[order[pos]]);
+    if (!d.admitted) return pos;
+    assignment[order[pos]] = d.machine;
+  }
+  return order.size();
+}
+#endif
 
 // Accept probe assuming scratch.order / scratch.utils are already prepared
 // for `tasks` (the bisection hoists the sort out of the loop).
@@ -120,19 +158,22 @@ bool accepts_prepared(const TaskSet& tasks, const Platform& platform,
                       PartitionEngine engine) {
   bool verdict;
   if (!admission_has_slack_form(kind)) {
-    verdict = naive_accepts_only(tasks, platform, kind, alpha);
+    verdict = run_machine_loads(tasks, platform, kind, alpha, s.order,
+                                nullptr) == tasks.size();
   } else {
     reset_machines(platform, kind, alpha, s);
     const PartitionEngine resolved = resolve_engine(engine, kind);
-    verdict = run_slack_engine(tasks, kind, resolved, s) == tasks.size();
+    verdict = run_slack_engine(kind, resolved, s) == tasks.size();
   }
-  // Shadow oracle: the decision-only scratch verdict must match the full
-  // batch partition (the controller path) and the opposite engine.
+  // Shadow oracles: the decision-only scratch verdict must match an online
+  // controller replay (the other engine) and the opposite slack engine.
   HETSCHED_AUDIT_HOOK(
+      std::vector<std::size_t> replayed;
       const bool oracle =
-          first_fit_partition(tasks, platform, kind, alpha, engine).feasible;
+          audit_online_replay(tasks, platform, kind, alpha, engine, s.order,
+                              replayed) == tasks.size();
       HETSCHED_CHECK_MSG(verdict == oracle,
-                         "audit: scratch verdict diverged from batch oracle");
+                         "audit: scratch verdict diverged from online replay");
       if (admission_has_slack_form(kind)) {
         const PartitionEngine other =
             resolve_engine(engine, kind) == PartitionEngine::kSegmentTree
@@ -142,7 +183,7 @@ bool accepts_prepared(const TaskSet& tasks, const Platform& platform,
         prepare_order(tasks, fresh);
         reset_machines(platform, kind, alpha, fresh);
         const bool cross =
-            run_slack_engine(tasks, kind, other, fresh) == tasks.size();
+            run_slack_engine(kind, other, fresh) == tasks.size();
         HETSCHED_CHECK_MSG(verdict == cross,
                            "audit: engines disagree on accept verdict");
       });
@@ -182,32 +223,48 @@ PartitionResult first_fit_partition(const TaskSet& tasks,
                                     PartitionEngine engine) {
   HETSCHED_CHECK(platform.size() >= 1);
   HETSCHED_CHECK(alpha >= 1.0);
+  const std::size_t n = tasks.size();
+  const std::size_t m = platform.size();
   PartitionResult out;
   out.kind = kind;
   out.alpha = alpha;
-  out.assignment.assign(tasks.size(), platform.size());
+  out.assignment.assign(n, m);
 
-  OnlinePartitioner controller(platform, kind, alpha, engine);
-  controller.reserve(tasks.size());
-  for (const std::size_t i : tasks.order_by_utilization_desc()) {
-    const AdmitDecision d = controller.admit(tasks[i]);
-    if (!d.admitted) {
-      out.failed_task = i;
-      out.failed_utilization = d.utilization;
-      break;
+  // Per-thread scratch, reused across calls: only the result allocates.
+  thread_local PartitionScratch s;
+  prepare_order(tasks, s);
+  std::size_t stop;
+  if (!admission_has_slack_form(kind)) {
+    stop = run_machine_loads(tasks, platform, kind, alpha, s.order, &out);
+  } else {
+    reset_machines(platform, kind, alpha, s);
+    stop = run_slack_engine(kind, resolve_engine(engine, kind), s,
+                            out.assignment.data());
+    // util_sum is the fold MachineLoad::utilization() reports, in the same
+    // order, so the loads are bit-identical to the controller's.
+    out.machine_utilization.assign(s.util_sum.begin(), s.util_sum.end());
+    out.tasks_per_machine.resize(m);
+    for (std::size_t j = 0; j < m; ++j) {
+      out.tasks_per_machine[j].reserve(s.count[j]);
     }
-    out.assignment[i] = d.machine;
+    for (std::size_t pos = 0; pos < stop; ++pos) {
+      const std::size_t i = s.order[pos];
+      out.tasks_per_machine[out.assignment[i]].push_back(tasks[i]);
+    }
+  }
+  // On failure the (partial) loads stay exposed: the proofs reason about
+  // exactly this state.
+  if (stop < n) {
+    out.failed_task = s.order[stop];
+    out.failed_utilization = s.utils[s.order[stop]];
   }
   out.feasible = !out.failed_task.has_value();
-
-  // Expose the (possibly partial) loads: the proofs reason about exactly
-  // this state.
-  out.machine_utilization.resize(platform.size());
-  out.tasks_per_machine.resize(platform.size());
-  for (std::size_t j = 0; j < platform.size(); ++j) {
-    out.machine_utilization[j] = controller.machine_utilization(j);
-    out.tasks_per_machine[j] = controller.machine_tasks(j);
-  }
+  HETSCHED_AUDIT_HOOK(
+      std::vector<std::size_t> replayed;
+      const std::size_t replay_stop = audit_online_replay(
+          tasks, platform, kind, alpha, engine, s.order, replayed);
+      HETSCHED_CHECK_MSG(replay_stop == stop && replayed == out.assignment,
+                         "audit: batch partition diverged from online replay"));
   return out;
 }
 
@@ -223,9 +280,6 @@ bool first_fit_accepts(const TaskSet& tasks, const Platform& platform,
                        PartitionScratch& scratch, PartitionEngine engine) {
   HETSCHED_CHECK(platform.size() >= 1);
   HETSCHED_CHECK(alpha >= 1.0);
-  if (!admission_has_slack_form(kind)) {
-    return naive_accepts_only(tasks, platform, kind, alpha);
-  }
   prepare_order(tasks, scratch);
   return accepts_prepared(tasks, platform, kind, alpha, scratch, engine);
 }

@@ -22,8 +22,10 @@ namespace {
 // Pre-registered handles (lint rule [metric-handle]: hot paths must not
 // look metrics up by name).  The namespace-scope constructor runs during
 // static initialization, so no HETSCHED_NOALLOC function ever triggers
-// registration.  Note that audit builds replay batch oracles through these
-// same paths, so audit-mode counter values exceed the decision counts.
+// registration.  Batch first-fit tests run on their own scratch engine and
+// never count here; audit builds, however, replay them through a
+// controller as an oracle, so audit-mode counter values exceed the
+// decision counts.
 struct OnlineMetrics {
   obs::Counter admits_warm = obs::registry().counter(
       "hetsched_admit_warm_total", "admits that reused a free arena slot");
@@ -989,8 +991,9 @@ void OnlinePartitioner::audit_verify_full() const {
 void OnlinePartitioner::audit_verify_canonical() const {
   // The controller just committed the canonical re-pack, so batch first fit
   // over the residents (laid out in admission order, the batch tie-break)
-  // must reproduce the live assignment bit for bit — this is the
-  // bit-identity bridge between the online state and the batch oracle.
+  // must reproduce the live assignment bit for bit.  The batch path is the
+  // independent scratch engine, so this bridges the two engines the other
+  // way round from the batch path's own online-replay audit.
   std::vector<std::uint32_t> order;
   order.reserve(st_.resident);
   for (std::uint32_t i = 0; i < st_.slots.size(); ++i) {

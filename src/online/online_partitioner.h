@@ -25,10 +25,12 @@
 //                   what-if probing (e.g. "would this batch of five tasks
 //                   fit?" — snapshot, admit all five, restore).
 //
-// first_fit_partition is a thin wrapper over this class (construct a
-// controller, admit in canonical order), so the batch and online paths
-// share one admission code path and stay bit-identical — the property
-// tests/online_equivalence_test.cpp asserts over 500 seeded instances.
+// The batch first_fit_partition runs on a separate scratch engine
+// (online/first_fit.cc).  Both engines decide through admission_fold_step
+// and SlackTree, so admitting a task set here in canonical order is
+// bit-identical to the batch result — the property
+// tests/online_equivalence_test.cpp asserts over 500 small and a grid of
+// large seeded instances.
 //
 // After warm-up (every internal vector has reached its high-water mark),
 // admit performs no heap allocation for the slack-form admission kinds;

@@ -8,8 +8,9 @@
 //     hyper, count, slack) stays bit-identical to a from-scratch
 //     recomputation over its resident list, and the SlackTree mirrors the
 //     slack array bit for bit;
-//   * the decision-only scratch engine agrees with the full batch oracle
-//     (first_fit_partition), and the alpha bisection only ever observes
+//   * the batch scratch engine (first_fit_partition and the decision-only
+//     accept path) agrees with an independent OnlinePartitioner replay in
+//     canonical order, and the alpha bisection only ever observes
 //     monotone accept/reject patterns.
 // An audit build recomputes each of these reference answers after every
 // mutation and aborts (via HETSCHED_CHECK) on the first divergence, the
@@ -21,8 +22,8 @@
 // (bench_perf_partition confirms zero overhead).
 //
 // Reentrancy: the oracles are themselves the audited code paths — e.g. the
-// scratch accept path cross-checks against first_fit_partition, whose
-// controller admits would audit again.  audit::Scope is a thread-local
+// scratch accept path cross-checks against an OnlinePartitioner replay,
+// whose admits would audit again.  audit::Scope is a thread-local
 // depth guard: hooks only fire at depth zero, so oracle re-runs are never
 // themselves audited and recursion terminates.
 #pragma once

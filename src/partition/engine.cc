@@ -101,7 +101,10 @@ void SlackTree::update(std::size_t j, double slack) {
   std::size_t i = leaves_ + j;
   node_[i] = slack;
   for (i /= 2; i >= 1; i /= 2) {
-    node_[i] = std::max(node_[2 * i], node_[2 * i + 1]);
+    const double max = std::max(node_[2 * i], node_[2 * i + 1]);
+    // An unchanged ancestor leaves everything above it unchanged.
+    if (max == node_[i]) break;  // hetsched-lint: allow(float-compare)
+    node_[i] = max;
   }
   HETSCHED_AUDIT_HOOK(audit_verify_heap());
 }

@@ -60,8 +60,13 @@ class SlackTree {
   // Leftmost j with slack_j >= w, or npos; O(log m).
   std::size_t find_first_at_least(double w) const;
 
-  // Sets machine j's slack and fixes the ancestors; O(log m).
+  // Sets machine j's slack and fixes the ancestors, stopping at the first
+  // one whose max is unchanged; O(log m).
   void update(std::size_t j, double slack);
+
+  // The 1-based heap (node 1 is the root, leaves start at index
+  // heap().size() / 2), for tests that compare trees node by node.
+  std::span<const double> heap() const { return node_; }
 
  private:
 #if HETSCHED_AUDIT_ENABLED

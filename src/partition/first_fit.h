@@ -51,11 +51,12 @@ struct PartitionResult {
 
 // Runs the first-fit partitioner.  alpha >= 1.  Both engines return
 // bit-identical results (see partition/engine.h); kAuto picks the segment
-// tree whenever the admission kind has a slack form.  Implemented as a
-// thin wrapper over the stateful controller
-// (online/online_partitioner.h): a fresh OnlinePartitioner admits the
-// tasks in canonical utilization-descending order, so the batch and online
-// admission paths are one code path and stay bit-identical.
+// tree whenever the admission kind has a slack form.  Runs on a per-thread
+// scratch engine, so only the result allocates once warm.  The result is
+// bit-identical to admitting the tasks in canonical order into a fresh
+// OnlinePartitioner (online/online_partitioner.h): both decide through
+// admission_fold_step and SlackTree, and tests/online_equivalence_test.cpp
+// pins the identity.
 PartitionResult first_fit_partition(
     const TaskSet& tasks, const Platform& platform, AdmissionKind kind,
     double alpha, PartitionEngine engine = PartitionEngine::kAuto);

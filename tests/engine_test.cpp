@@ -5,9 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <span>
 #include <vector>
 
 #include "partition/first_fit.h"
+#include "util/rng.h"
 
 namespace hetsched {
 namespace {
@@ -64,6 +66,47 @@ TEST(SlackTree, UpdatePropagatesToRoot) {
   EXPECT_EQ(tree.find_first_at_least(0.3), SlackTree::npos);
   EXPECT_EQ(tree.find_first_at_least(0.05), 0u);
   EXPECT_DOUBLE_EQ(tree.slack_at(1), 0.2);
+}
+
+TEST(SlackTree, EarlyStopUpdateMatchesFreshBuild) {
+  // update() stops climbing at the first ancestor whose max is unchanged.
+  // Raise and lower max and non-max leaves, ties included, and compare the
+  // whole heap against a tree built from scratch after every update.
+  std::vector<double> slack = {0.5, 0.3, 0.9, 0.9, 0.1, 0.7, 0.2,
+                               0.4, 0.6, 0.8, 0.05, 0.35, 0.65};  // 13 leaves
+  SlackTree tree;
+  tree.build(slack);
+  const auto expect_matches_fresh = [&](const char* step) {
+    SlackTree fresh;
+    fresh.build(slack);
+    const std::span<const double> got = tree.heap();
+    const std::span<const double> want = fresh.heap();
+    ASSERT_EQ(got.size(), want.size()) << step;
+    for (std::size_t i = 1; i < got.size(); ++i) {
+      EXPECT_EQ(got[i], want[i]) << step << ": node " << i;
+    }
+  };
+  const auto set = [&](std::size_t j, double v, const char* step) {
+    slack[j] = v;
+    tree.update(j, v);
+    expect_matches_fresh(step);
+  };
+  set(1, 0.45, "raise a non-max leaf below its sibling");
+  set(1, 0.55, "raise a non-max leaf above its sibling");
+  set(4, 0.0, "lower a non-max leaf");
+  set(2, 0.95, "raise a max leaf (new global max)");
+  set(2, 0.9, "lower a max leaf to its tied twin");
+  set(3, 0.2, "lower the tied twin; the other still holds the max");
+  set(2, 0.1, "lower the last global max");
+  set(12, 1.5, "raise a leaf next to the padding");
+  set(12, 0.0, "lower it again");
+  set(9, 0.8, "rewrite a leaf with its own value");
+  Rng rng(0x5EED);
+  for (int step = 0; step < 500; ++step) {
+    const std::size_t j = static_cast<std::size_t>(rng.uniform_int(0, 12));
+    // Coarse values so ties between leaves are frequent.
+    set(j, static_cast<double>(rng.uniform_int(0, 8)) / 8.0, "random");
+  }
 }
 
 TEST(SlackTree, RebuildReusesStorage) {

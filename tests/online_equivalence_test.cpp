@@ -1,11 +1,19 @@
 // Randomized property test: replaying a task set through the online
 // controller in canonical utilization-descending order is bit-identical to
-// first_fit_partition, under both engines and every admission kind, across
-// 500 seeded instances.  This is the contract the batch wrapper rests on —
-// the two paths must never drift apart, or every theorem-level certificate
-// the batch test emits would silently stop covering the online service.
+// first_fit_partition, under both engines and every admission kind.  The
+// two are independent implementations — the batch scratch engine
+// (online/first_fit.cc) and OnlinePartitioner — that share only the
+// admission primitives (admission_fold_step, SlackTree), so this test is
+// what pins their agreement: verdicts, assignments, failure certificates
+// and per-machine loads, compared bitwise, over 500 small seeded instances
+// and a grid of large ones (n up to 4096, m up to 128).  If the two ever
+// drifted apart, the theorem-level certificates the batch test emits would
+// silently stop covering the online service.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <vector>
 
 #include "gen/platform_gen.h"
@@ -43,9 +51,12 @@ TaskSet random_taskset(Rng& rng, const Platform& platform) {
   return generate_taskset(rng, spec);
 }
 
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
 // Replays `tasks` through a fresh controller in canonical order, stopping
 // at the first rejection exactly as the batch algorithm does, and asserts
-// the replay reproduces `batch` bit for bit.
+// the replay reproduces `batch` bit for bit — including the partial state
+// of a rejected run, which the infeasibility certificates reason about.
 void expect_replay_matches(const TaskSet& tasks, const Platform& platform,
                            AdmissionKind kind, double alpha,
                            PartitionEngine engine,
@@ -53,26 +64,29 @@ void expect_replay_matches(const TaskSet& tasks, const Platform& platform,
   OnlinePartitioner c(platform, kind, alpha, engine);
   c.reserve(tasks.size());
   bool feasible = true;
-  std::vector<std::size_t> assignment(tasks.size(), 0);
+  std::vector<std::size_t> assignment(tasks.size(), platform.size());
   for (const std::size_t i : tasks.order_by_utilization_desc()) {
     const AdmitDecision d = c.admit(tasks[i]);
     if (!d.admitted) {
       feasible = false;
       ASSERT_TRUE(batch.failed_task.has_value());
       EXPECT_EQ(*batch.failed_task, i);
-      EXPECT_EQ(batch.failed_utilization, d.utilization);
+      EXPECT_EQ(bits(batch.failed_utilization), bits(d.utilization));
       break;
     }
     assignment[i] = d.machine;
   }
   ASSERT_EQ(feasible, batch.feasible);
-  if (!feasible) return;
+  EXPECT_EQ(feasible, !batch.failed_task.has_value());
   ASSERT_EQ(batch.assignment.size(), tasks.size());
   for (std::size_t i = 0; i < tasks.size(); ++i) {
     EXPECT_EQ(assignment[i], batch.assignment[i]) << "task " << i;
   }
+  ASSERT_EQ(batch.machine_utilization.size(), platform.size());
+  ASSERT_EQ(batch.tasks_per_machine.size(), platform.size());
   for (std::size_t j = 0; j < platform.size(); ++j) {
-    EXPECT_EQ(c.machine_utilization(j), batch.machine_utilization[j])
+    EXPECT_EQ(bits(c.machine_utilization(j)),
+              bits(batch.machine_utilization[j]))
         << "machine " << j;
     ASSERT_EQ(c.machine_task_count(j), batch.tasks_per_machine[j].size());
     const std::vector<Task> online = c.machine_tasks(j);
@@ -80,6 +94,25 @@ void expect_replay_matches(const TaskSet& tasks, const Platform& platform,
       EXPECT_EQ(online[k], batch.tasks_per_machine[j][k]);
     }
   }
+}
+
+// Runs the batch test under both engines, checks each against the online
+// replay, and checks the decision-only accept path agrees.  Returns the
+// verdict.
+bool expect_engines_match(const TaskSet& tasks, const Platform& platform,
+                          AdmissionKind kind, double alpha) {
+  bool feasible = false;
+  for (const PartitionEngine engine :
+       {PartitionEngine::kNaive, PartitionEngine::kSegmentTree}) {
+    const PartitionResult batch =
+        first_fit_partition(tasks, platform, kind, alpha, engine);
+    expect_replay_matches(tasks, platform, kind, alpha, engine, batch);
+    PartitionScratch scratch;
+    EXPECT_EQ(first_fit_accepts(tasks, platform, kind, alpha, scratch, engine),
+              batch.feasible);
+    feasible = batch.feasible;
+  }
+  return feasible;
 }
 
 TEST(OnlineEquivalence, ReplayMatchesBatchOver500Instances) {
@@ -96,17 +129,68 @@ TEST(OnlineEquivalence, ReplayMatchesBatchOver500Instances) {
         rng.uniform_int(0, 3))];
     SCOPED_TRACE("iter " + std::to_string(iter) + " kind " + to_string(kind) +
                  " alpha " + std::to_string(alpha));
-    for (const PartitionEngine engine :
-         {PartitionEngine::kNaive, PartitionEngine::kSegmentTree}) {
-      const PartitionResult batch =
-          first_fit_partition(tasks, platform, kind, alpha, engine);
-      expect_replay_matches(tasks, platform, kind, alpha, engine, batch);
-      // The decision-only scratch path agrees too.
-      PartitionScratch scratch;
-      EXPECT_EQ(
-          first_fit_accepts(tasks, platform, kind, alpha, scratch, engine),
-          batch.feasible);
+    expect_engines_match(tasks, platform, kind, alpha);
+  }
+}
+
+// n tasks with utilizations uniform in (0, 2u], u chosen so the total load
+// straddles the platform capacity.  (UUniFast cannot load a platform this
+// heavily with so few tasks per machine without exceeding the per-task
+// cap.)
+TaskSet large_taskset(Rng& rng, const Platform& platform, std::size_t n) {
+  const double u = rng.uniform(0.5, 1.3) * platform.total_speed() /
+                   static_cast<double>(n);
+  std::vector<Task> tasks;
+  tasks.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::int64_t period = rng.uniform_int(10, 1000);
+    const double w = std::min(rng.uniform(0.0, 2.0 * u), platform.max_speed());
+    const auto exec =
+        static_cast<std::int64_t>(w * static_cast<double>(period));
+    tasks.push_back({std::max<std::int64_t>(exec, 1), period});
+  }
+  return TaskSet(std::move(tasks));
+}
+
+TEST(OnlineEquivalence, ReplayMatchesBatchOnLargeInstances) {
+  // Sizes where the canonical order takes its radix path and the tree
+  // engine is several levels deep; loads straddle the acceptance boundary.
+  Rng rng(0x1A46E);
+  std::size_t accepted = 0, tests = 0;
+  const AdmissionKind kinds[] = {AdmissionKind::kEdf,
+                                 AdmissionKind::kRmsLiuLayland,
+                                 AdmissionKind::kRmsHyperbolic};
+  for (const std::size_t n : {256u, 4096u}) {
+    for (const std::size_t m : {64u, 128u}) {
+      for (const AdmissionKind kind : kinds) {
+        for (int rep = 0; rep < 3; ++rep) {
+          const Platform platform = uniform_platform(rng, m, 1.0, 4.0);
+          const TaskSet tasks = large_taskset(rng, platform, n);
+          const double alpha = rep == 0 ? 1.0 : rep == 1 ? 1.3 : 2.0;
+          SCOPED_TRACE("n " + std::to_string(n) + " m " + std::to_string(m) +
+                       " kind " + to_string(kind) + " alpha " +
+                       std::to_string(alpha));
+          accepted += expect_engines_match(tasks, platform, kind, alpha);
+          ++tests;
+        }
+      }
     }
+  }
+  // The grid exercises both certificates: full partitions and failures.
+  EXPECT_GT(accepted, 0u);
+  EXPECT_LT(accepted, tests);
+  // Response-time admission has no slack form and runs a MachineLoad scan
+  // on the batch side; kept small because every probe runs exact RTA.
+  for (int rep = 0; rep < 4; ++rep) {
+    const Platform platform = uniform_platform(rng, 8, 1.0, 4.0);
+    TasksetSpec spec;
+    spec.n = 64;
+    spec.max_task_utilization = platform.max_speed();
+    spec.total_utilization = rng.uniform(0.5, 1.2) * platform.total_speed();
+    const TaskSet tasks = generate_taskset(rng, spec);
+    SCOPED_TRACE("rta rep " + std::to_string(rep));
+    expect_engines_match(tasks, platform, AdmissionKind::kRmsResponseTime,
+                         rep % 2 == 0 ? 1.0 : 1.3);
   }
 }
 

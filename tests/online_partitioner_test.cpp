@@ -186,8 +186,8 @@ TEST(OnlinePartitioner, RtaKindRoundTrips) {
   ASSERT_TRUE(a.admitted && b.admitted && x.admitted);
   ASSERT_TRUE(c.depart(a.id));
   EXPECT_TRUE(c.rebalance().applied);
-  // The controller's verdicts still match the batch wrapper on the
-  // remaining residents (same code path via first_fit_partition).
+  // The batch test accepts the remaining residents too (its MachineLoad
+  // scan makes the same RTA decisions as the controller's fallback).
   std::vector<Task> rest;
   for (std::size_t j = 0; j < c.machine_count(); ++j) {
     for (const Task& t : c.machine_tasks(j)) rest.push_back(t);

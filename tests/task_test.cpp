@@ -3,7 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <numeric>
 #include <vector>
+
+#include "util/int128.h"
+#include "util/rng.h"
 
 namespace hetsched {
 namespace {
@@ -58,12 +63,87 @@ TEST(TaskSet, OrderBreaksTiesByIndex) {
 
 TEST(TaskSet, OrderIsExactNotFloating) {
   // (10^9+1)/(3*10^9+3) > 10^9/(3*10^9+2)? Left = 1/3 exactly; right is
-  // slightly less.  Doubles cannot distinguish; exact comparison must.
+  // slightly less.  (Doubles do distinguish this pair; the radix-path test
+  // below covers pairs that only the exact comparison separates.)
   const TaskSet ts({{1'000'000'000, 3'000'000'002},
                     {1'000'000'001, 3'000'000'003}});
   const auto order = ts.order_by_utilization_desc();
   EXPECT_EQ(order[0], 1u);
   EXPECT_EQ(order[1], 0u);
+}
+
+// The definition of the canonical order: a stable sort under the exact
+// rational comparison, so equal rationals keep index order.
+std::vector<std::size_t> reference_order(const TaskSet& ts) {
+  std::vector<std::size_t> order(ts.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_sort(order.begin(), order.end(),
+                   [&ts](std::size_t a, std::size_t b) {
+                     return static_cast<int128>(ts[a].exec) * ts[b].period >
+                            static_cast<int128>(ts[b].exec) * ts[a].period;
+                   });
+  return order;
+}
+
+TEST(TaskSet, OrderMatchesExactStableSortAcrossRadixThreshold) {
+  // n >= 128 takes the radix path.  Mix plain random tasks with
+  //  * equal rationals k/2k and k/3k: one double, index order must survive;
+  //  * k/(3k+1) for k in [2.5e15, 2.95e15]: slightly below 1/3 and
+  //    distinct for each k, yet the same double as 1/3 (all operands stay
+  //    below 2^53, so they convert exactly) — runs the radix passes leave
+  //    in index order and only the exact repair can reorder;
+  //  * the OrderIsExactNotFloating pair.
+  for (const std::size_t n : {127u, 128u, 129u, 4096u, 16384u}) {
+    Rng rng(0x0D3E + n);
+    std::vector<Task> tasks;
+    tasks.reserve(n);
+    std::size_t double_equal_distinct = 0;
+    while (tasks.size() < n) {
+      switch (rng.uniform_int(0, 7)) {
+        case 0: {
+          const std::int64_t k = rng.uniform_int(1, 1000);
+          tasks.push_back({k, 2 * k});
+          break;
+        }
+        case 1: {
+          const std::int64_t k = rng.uniform_int(1, 1000);
+          tasks.push_back({k, 3 * k});
+          break;
+        }
+        case 2: {
+          const std::int64_t k =
+              rng.uniform_int(2'500'000'000'000'000, 2'950'000'000'000'000);
+          tasks.push_back({k, 3 * k + 1});
+          EXPECT_EQ(tasks.back().utilization(), 1.0 / 3.0);
+          ++double_equal_distinct;
+          break;
+        }
+        case 3:
+          tasks.push_back({1'000'000'000, 3'000'000'002});
+          break;
+        case 4:
+          tasks.push_back({1'000'000'001, 3'000'000'003});
+          break;
+        default: {
+          const std::int64_t period = rng.uniform_int(10, 1'000'000);
+          tasks.push_back({rng.uniform_int(1, period), period});
+          break;
+        }
+      }
+    }
+    ASSERT_GE(double_equal_distinct, 2u);
+    const TaskSet ts(std::move(tasks));
+    EXPECT_EQ(ts.order_by_utilization_desc(), reference_order(ts))
+        << "n=" << n;
+  }
+}
+
+TEST(TaskSet, RadixOrderOfIdenticalUtilizationsIsIndexOrder) {
+  // Every digit is degenerate, so every radix pass is skipped.
+  const TaskSet ts(std::vector<Task>(300, Task{3, 7}));
+  std::vector<std::size_t> identity(300);
+  std::iota(identity.begin(), identity.end(), std::size_t{0});
+  EXPECT_EQ(ts.order_by_utilization_desc(), identity);
 }
 
 TEST(TaskSet, PushBackAccumulates) {
