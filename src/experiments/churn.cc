@@ -14,7 +14,6 @@
 
 namespace hetsched {
 
-#if HETSCHED_METRICS_ENABLED
 namespace {
 
 // Regret accounting vs. the clairvoyant baseline, aggregated across every
@@ -32,7 +31,6 @@ struct ChurnMetrics {
 const ChurnMetrics g_churn_metrics;
 
 }  // namespace
-#endif  // HETSCHED_METRICS_ENABLED
 
 std::string ChurnResult::to_string() const {
   std::ostringstream os;

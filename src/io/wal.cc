@@ -16,7 +16,6 @@ namespace hetsched::io {
 
 namespace {
 
-#if HETSCHED_METRICS_ENABLED
 // Pre-registered handles (lint rule [metric-handle]).
 struct WalMetrics {
   obs::Counter records = obs::registry().counter(
@@ -29,7 +28,6 @@ struct WalMetrics {
       "hetsched_wal_fsync_ns", "fsync(2) latency on the WAL fd");
 };
 const WalMetrics g_wal_metrics;
-#endif
 
 // Fixed append arena: large enough for a full drain batch of warm-path
 // records (<= 48 bytes each); overflow just flushes early with write(2).

@@ -28,52 +28,12 @@ namespace hetsched::net {
 
 namespace {
 
-#if HETSCHED_METRICS_ENABLED
 // Pre-registered handles: instrumentation on the frame path must not do
 // by-name registry lookups (lint rule [metric-handle]).  Per-shard queue
 // depth and per-loop connection gauges are registered per Server instance
 // (names carry the shard/loop index), so they live on Shard/Loop, not
-// here.
+// here.  Decision counters live in Server::counters_ (ServerStats) only.
 struct NetMetrics {
-  obs::Counter connections = obs::registry().counter(
-      "hetsched_net_connections_total", "TCP connections accepted");
-  obs::Counter frames_rx = obs::registry().counter(
-      "hetsched_net_frames_rx_total", "Request frames decoded");
-  obs::Counter frames_inline = obs::registry().counter(
-      "hetsched_net_frames_inline_total",
-      "Frames decided on the accepting loop with zero queue hops");
-  obs::Counter admits = obs::registry().counter(
-      "hetsched_net_admit_total", "Admit requests answered admitted");
-  obs::Counter rejects = obs::registry().counter(
-      "hetsched_net_reject_total", "Admit requests answered rejected");
-  obs::Counter retries = obs::registry().counter(
-      "hetsched_net_retry_total",
-      "Requests answered retry-later because the shard queue was full");
-  obs::Counter departs = obs::registry().counter(
-      "hetsched_net_depart_total", "Depart requests answered departed");
-  obs::Counter stale = obs::registry().counter(
-      "hetsched_net_stale_total", "Depart requests naming a stale id");
-  obs::Counter rebalances = obs::registry().counter(
-      "hetsched_net_rebalance_total", "Rebalance requests processed");
-  obs::Counter bad = obs::registry().counter(
-      "hetsched_net_bad_frame_total",
-      "Malformed frames, bad shard indices, and invalid task parameters");
-  obs::Counter batches = obs::registry().counter(
-      "hetsched_net_batches_total", "Drain rounds that handled >= 1 frame");
-  obs::Counter partial_writes = obs::registry().counter(
-      "hetsched_net_partial_write_total",
-      "Short response writes parked in a connection backlog");
-  obs::Counter resizes = obs::registry().counter(
-      "hetsched_net_resize_total", "Shard splits and merges applied");
-  obs::Counter resize_failures = obs::registry().counter(
-      "hetsched_net_resize_failed_total",
-      "Split/merge requests answered resize-failed");
-  obs::Counter forwards = obs::registry().counter(
-      "hetsched_net_forwarded_depart_total",
-      "Departs rewritten through a forwarding entry to a migrated tenant");
-  obs::Counter introspect = obs::registry().counter(
-      "hetsched_net_introspect_total",
-      "GET_STATS / GET_TRACEZ frames answered");
   obs::LatencyHistogram resize_pause = obs::registry().histogram(
       "hetsched_net_resize_pause_ns",
       "Time the involved shards were quiesced, per resize");
@@ -85,7 +45,6 @@ struct NetMetrics {
       "Frames per drain round (count, log2 buckets)");
 };
 const NetMetrics g_metrics;
-#endif  // HETSCHED_METRICS_ENABLED
 
 void bump(std::atomic<std::uint64_t>& c) {
   c.fetch_add(1, std::memory_order_relaxed);
@@ -353,11 +312,9 @@ struct Server::Shard {
 
   // Last-decisions ring (obs/flight_recorder.h): one fixed-size record
   // per answered frame, written by the owner loop, dumped on SIGUSR1 or
-  // a fatal signal.  The member exists in every build; recording is
-  // compiled out with the metrics kill switch.
+  // a fatal signal.
   obs::FlightRecorder flight;
 
-#if HETSCHED_METRICS_ENABLED
   obs::Gauge depth_gauge;
   std::atomic<std::uint32_t> push_tick{0};  // latency sampling (any loop)
   // Latency-SLO burn counters, fed by the sampled-latency sites: a
@@ -365,7 +322,6 @@ struct Server::Shard {
   // the rest in slo_breach (net_slo_* in /metrics and GET_STATS).
   std::atomic<std::uint64_t> slo_ok{0};
   std::atomic<std::uint64_t> slo_breach{0};
-#endif
 };
 
 // One event-loop thread: poller, wake pipe, owned shards, accepted
@@ -415,7 +371,6 @@ struct Server::Loop {
   std::vector<std::shared_ptr<Connection>> pending_arms;
   std::vector<Shard*> pending_shards;
 
-#if HETSCHED_METRICS_ENABLED
   obs::Gauge conn_gauge;
   std::uint32_t sample_tick = 0;  // loop-thread-only (inline sampling)
 
@@ -450,7 +405,6 @@ struct Server::Loop {
     }
     staged_trace_count = 0;
   }
-#endif
 };
 
 Server::Server(const Platform& platform, const ServerOptions& options)
@@ -571,11 +525,9 @@ bool Server::start(std::string* error) {
       loops_.clear();
       return false;
     }
-#if HETSCHED_METRICS_ENABLED
     lp.conn_gauge = obs::registry().gauge(
         "hetsched_net_loop_conns" + std::to_string(i),
         "Open connections homed on loop " + std::to_string(i));
-#endif
   }
 
   shards_.clear();
@@ -590,11 +542,9 @@ bool Server::start(std::string* error) {
     sh.owner_loop = i % loop_count;
     sh.flight.set_shard(static_cast<std::uint16_t>(i));
     loops_[sh.owner_loop]->shards.push_back(&sh);
-#if HETSCHED_METRICS_ENABLED
     sh.depth_gauge = obs::registry().gauge(
         "hetsched_net_queue_depth_shard" + std::to_string(i),
         "Requests queued for shard " + std::to_string(i));
-#endif
   }
   shard_count_.store(shard_count, std::memory_order_release);
 
@@ -773,11 +723,9 @@ void append_shard_sample(std::string* out, const char* name, std::size_t shard,
 }  // namespace
 
 // Prometheus-style exposition: the body of both the GET_STATS info frame
-// and the HTTP /metrics side port.  ServerStats is rendered under
-// hetsched_server_* — the obs registry already owns the hetsched_net_*
-// names in metrics-ON builds, and one exposition must never carry a
-// family twice — so the decision counters stay scrapeable even in
-// metrics-off builds.
+// and the HTTP /metrics side port.  Each server decision is counted once,
+// in ServerStats, rendered here as hetsched_server_*.  The obs registry
+// appended at the end owns the hetsched_net_* histograms and gauges.
 std::string Server::stats_text() const {
   const ServerStats s = stats();
   std::string out;
@@ -834,9 +782,8 @@ std::string Server::stats_text() const {
     append_family(&out, r.name, "counter", r.help);
     append_sample(&out, r.name, r.v);
   }
-  // Per-shard latency-SLO burn counters.  The families are always
-  // present so scrapes keep a stable shape; the counters move only in
-  // metrics-ON builds (attribution rides the sampled-latency path).
+  // Per-shard latency-SLO burn counters, fed by the sampled-latency path
+  // (one request in kLatencySamplePeriod).
   const std::size_t count = shard_count();
   append_family(&out, "hetsched_net_slo_ok_total", "counter",
                 "Sampled requests at or under the latency SLO");
@@ -849,47 +796,33 @@ std::string Server::stats_text() const {
     append_shard_sample(&out, "hetsched_net_slo_breach_total", i,
                         shard_slo_breach(i));
   }
-#if HETSCHED_METRICS_ENABLED
   append_family(&out, "hetsched_span_dropped_total", "counter",
                 "Span records overwritten before a drain");
   append_sample(&out, "hetsched_span_dropped_total", obs::span_dropped());
   append_family(&out, "hetsched_span_enabled", "gauge",
                 "1 while span tracing is armed");
   append_sample(&out, "hetsched_span_enabled", obs::span_enabled() ? 1 : 0);
-  // The full obs registry: hetsched_net_* counters, gauges, histograms.
+  // The full obs registry: hetsched_net_* gauges and histograms, plus
+  // every other layer's metrics.
   out += obs::registry().expose();
-#endif
   return out;
 }
 
 std::string Server::tracez_text(std::size_t k) const {
-#if HETSCHED_METRICS_ENABLED
   // Drain without clearing: tracez is a window, not a consumer — repeated
   // queries see the same recent traces until the rings wrap.
   return render_tracez_jsonl(
       obs::slowest_traces(obs::span_drain(/*clear=*/false), k));
-#else
-  (void)k;
-  return std::string();
-#endif
 }
 
 std::uint64_t Server::shard_slo_ok(std::size_t shard) const {
   HETSCHED_CHECK(shard < shard_count());
-#if HETSCHED_METRICS_ENABLED
   return shards_[shard]->slo_ok.load(std::memory_order_relaxed);
-#else
-  return 0;
-#endif
 }
 
 std::uint64_t Server::shard_slo_breach(std::size_t shard) const {
   HETSCHED_CHECK(shard < shard_count());
-#if HETSCHED_METRICS_ENABLED
   return shards_[shard]->slo_breach.load(std::memory_order_relaxed);
-#else
-  return 0;
-#endif
 }
 
 std::size_t Server::shard_resident_count(std::size_t shard) const {
@@ -929,7 +862,6 @@ Response Server::process_request(Shard& shard, const Request& req,
   Response resp;
   resp.type = req.type;
   resp.request_id = req.request_id;
-#if HETSCHED_METRICS_ENABLED
   // Warm-admit span: one clock read on entry and one on exit, paid only
   // by traced frames while spans are armed.
   std::uint64_t sp_t0 = 0;
@@ -938,7 +870,6 @@ Response Server::process_request(Shard& shard, const Request& req,
     sp_t0 = obs::now_ns();
     sp_id = obs::span_next_id();
   }
-#endif
   // Every branch that touches the controller logs the decision; responses
   // that never reached the controller (bad request, inactive shard) fold
   // nothing and log nothing.
@@ -971,19 +902,15 @@ Response Server::process_request(Shard& shard, const Request& req,
         resp.status = Status::kRejected;
       }
       if (shard.wal.is_open()) {
-#if HETSCHED_METRICS_ENABLED
         const std::uint64_t wal_t0 = sp_id != 0 ? obs::now_ns() : 0;
-#endif
         shard.wal.append_admit(req.exec(), req.period(),
                                shard.controller.decision_seq(),
                                shard.controller.decision_checksum(),
                                req.deadline_val(), d.tier);
-#if HETSCHED_METRICS_ENABLED
         if (sp_id != 0) {
           obs::span_record(req.trace_id, obs::span_next_id(), sp_id,
                            obs::SpanStage::kWalAppend, wal_t0, obs::now_ns());
         }
-#endif
         logged = true;
       }
       break;
@@ -994,18 +921,14 @@ Response Server::process_request(Shard& shard, const Request& req,
       resp.status = shard.controller.depart(req.task_id()) ? Status::kDeparted
                                                            : Status::kStaleId;
       if (shard.wal.is_open()) {
-#if HETSCHED_METRICS_ENABLED
         const std::uint64_t wal_t0 = sp_id != 0 ? obs::now_ns() : 0;
-#endif
         shard.wal.append_depart(req.task_id(),
                                 shard.controller.decision_seq(),
                                 shard.controller.decision_checksum());
-#if HETSCHED_METRICS_ENABLED
         if (sp_id != 0) {
           obs::span_record(req.trace_id, obs::span_next_id(), sp_id,
                            obs::SpanStage::kWalAppend, wal_t0, obs::now_ns());
         }
-#endif
         logged = true;
       }
       break;
@@ -1019,17 +942,13 @@ Response Server::process_request(Shard& shard, const Request& req,
       resp.status = r.applied ? Status::kRebalanced : Status::kRebalanceSkipped;
       resp.task_id = r.migrations;
       if (shard.wal.is_open()) {
-#if HETSCHED_METRICS_ENABLED
         const std::uint64_t wal_t0 = sp_id != 0 ? obs::now_ns() : 0;
-#endif
         shard.wal.append_rebalance(shard.controller.decision_seq(),
                                    shard.controller.decision_checksum());
-#if HETSCHED_METRICS_ENABLED
         if (sp_id != 0) {
           obs::span_record(req.trace_id, obs::span_next_id(), sp_id,
                            obs::SpanStage::kWalAppend, wal_t0, obs::now_ns());
         }
-#endif
         logged = true;
       }
       break;
@@ -1052,15 +971,13 @@ Response Server::process_request(Shard& shard, const Request& req,
     bump(counters_.wal_records);
   }
   // Flight recorder: every answered frame lands one fixed-size record in
-  // the shard's last-decisions ring (compiled out with the kill switch).
+  // the shard's last-decisions ring.
   HETSCHED_FLIGHT_RECORD(shard.flight, resp.type, resp.status, resp.machine,
                          resp.request_id, resp.value, req.trace_id);
-#if HETSCHED_METRICS_ENABLED
   if (sp_id != 0) {
     obs::span_record(req.trace_id, sp_id, parent_span,
                      obs::SpanStage::kWarmAdmit, sp_t0, obs::now_ns());
   }
-#endif
   return resp;
 }
 
@@ -1069,41 +986,32 @@ void Server::count_response(const Response& resp) {
   switch (resp.status) {
     case Status::kAdmitted:
       bump(counters_.admitted);
-      HETSCHED_COUNT(g_metrics.admits);
       break;
     case Status::kRejected:
       bump(counters_.rejected);
-      HETSCHED_COUNT(g_metrics.rejects);
       break;
     case Status::kDeparted:
       bump(counters_.departed);
-      HETSCHED_COUNT(g_metrics.departs);
       break;
     case Status::kStaleId:
       bump(counters_.stale);
-      HETSCHED_COUNT(g_metrics.stale);
       break;
     case Status::kRebalanced:
     case Status::kRebalanceSkipped:
       bump(counters_.rebalances);
-      HETSCHED_COUNT(g_metrics.rebalances);
       break;
     case Status::kBadRequest:
     case Status::kBadShard:
       bump(counters_.bad);
-      HETSCHED_COUNT(g_metrics.bad);
       break;
     case Status::kRetryLater:
       bump(counters_.retried);
-      HETSCHED_COUNT(g_metrics.retries);
       break;
     case Status::kResized:
       bump(counters_.resizes);
-      HETSCHED_COUNT(g_metrics.resizes);
       break;
     case Status::kResizeFailed:
       bump(counters_.resize_failures);
-      HETSCHED_COUNT(g_metrics.resize_failures);
       break;
     case Status::kInfo:
       // Unreachable: info frames are built by handle_introspect, which
@@ -1133,7 +1041,6 @@ void Server::handle_introspect(Loop& lp,
     info.value = traces;
   }
   bump(counters_.introspect);
-  HETSCHED_COUNT(g_metrics.introspect);
   std::vector<unsigned char> frame;
   encode_info_response(info, &frame);
   send_to_connection(lp, conn, frame.data(), frame.size());
@@ -1149,7 +1056,6 @@ void Server::send_to_connection(Loop& lp,
   if (r == Connection::WriteResult::kFlushed) return;
   if (r == Connection::WriteResult::kQueued) {
     bump(counters_.partial_writes);
-    HETSCHED_COUNT(g_metrics.partial_writes);
   }
   request_write_interest(lp, conn);
 }
@@ -1205,7 +1111,6 @@ void Server::adopt_connection(Loop& lp, int fd) {
   lp.conns.emplace(fd, std::move(conn));
   lp.accepted.fetch_add(1, std::memory_order_relaxed);
   bump(counters_.connections);
-  HETSCHED_COUNT(g_metrics.connections);
   HETSCHED_GAUGE_SET(lp.conn_gauge, lp.conns.size());
 }
 
@@ -1276,7 +1181,6 @@ bool Server::resolve_forward(Request& req) {
   }
   if (rewritten) {
     bump(counters_.forwarded);
-    HETSCHED_COUNT(g_metrics.forwards);
   }
   return rewritten;
 }
@@ -1381,9 +1285,7 @@ Response Server::handle_resize(Loop& lp, const Request& req) {
     resp.status = Status::kResizeFailed;
     return resp;
   }
-#if HETSCHED_METRICS_ENABLED
   const std::uint64_t pause_t0 = obs::now_ns();
-#endif
   const bool quiesced =
       quiesce_shard(lp, *src) && (dst == nullptr || quiesce_shard(lp, *dst));
   if (quiesced) {
@@ -1396,9 +1298,7 @@ Response Server::handle_resize(Loop& lp, const Request& req) {
   }
   release_shard(*src);
   if (dst != nullptr) release_shard(*dst);
-#if HETSCHED_METRICS_ENABLED
   g_metrics.resize_pause.record_ns(obs::now_ns() - pause_t0);
-#endif
   resize_busy_.store(false, std::memory_order_release);
   return resp;
 }
@@ -1516,11 +1416,9 @@ Response Server::do_split(Loop& lp, Shard& src) {
     src.has_forwards.store(true, std::memory_order_release);
   }
 
-#if HETSCHED_METRICS_ENABLED
   ns.depth_gauge = obs::registry().gauge(
       "hetsched_net_queue_depth_shard" + std::to_string(ns.index),
       "Requests queued for shard " + std::to_string(ns.index));
-#endif
   // Publish: construction is complete, so the release store makes the
   // shard routable.  It stays `moving` (kRetryLater) until its owner loop
   // adopts it — only adopted shards join the owner's WAL group commit.
@@ -1641,7 +1539,6 @@ void Server::drain_shard_queues(Loop& lp) {
       HETSCHED_GAUGE_SET(sh->depth_gauge, sh->queue.depth());
       if (n == 0) break;
       bump(counters_.batches);
-      HETSCHED_COUNT(g_metrics.batches);
       // Pass 1: decide every item, staging responses in outbuf and
       // recording per-connection runs.  Nothing is sent yet — the WAL
       // group commit below must land first.
@@ -1654,7 +1551,6 @@ void Server::drain_shard_queues(Loop& lp) {
         Shard::WorkItem& item = lp.items[i];
         Request req = item.req;
         resolve_forward(req);
-#if HETSCHED_METRICS_ENABLED
         // Queue-hop span: the frame's cross-loop (or paused-shard) queue
         // residency, parented to its decode span.
         if (item.trace_root != 0) {
@@ -1662,7 +1558,6 @@ void Server::drain_shard_queues(Loop& lp) {
                            obs::SpanStage::kQueueHop, item.trace_enq_ns,
                            obs::now_ns());
         }
-#endif
         Response resp;
         bool have_resp = true;
         if (req.shard != sh->index) {
@@ -1687,13 +1582,11 @@ void Server::drain_shard_queues(Loop& lp) {
         } else {
           resp = process_request(*sh, req, item.trace_root);
         }
-#if HETSCHED_METRICS_ENABLED
         if (item.enq_ns != 0) {
           const std::uint64_t lat = obs::now_ns() - item.enq_ns;
           g_metrics.latency.record_ns(lat);
           bump(lat <= options_.slo_ns ? sh->slo_ok : sh->slo_breach);
         }
-#endif
         if (!have_resp) continue;
         count_response(resp);
         if (run_conn != nullptr && item.conn.get() != run_conn) {
@@ -1703,48 +1596,36 @@ void Server::drain_shard_queues(Loop& lp) {
         }
         if (run_conn == nullptr) run_first = i;
         run_conn = item.conn.get();
-#if HETSCHED_METRICS_ENABLED
         const std::uint64_t enc_t0 =
             item.trace_root != 0 ? obs::now_ns() : 0;
-#endif
         out_len += encode_response(resp, lp.outbuf.data() + out_len);
-#if HETSCHED_METRICS_ENABLED
         if (item.trace_root != 0) {
           obs::span_record(req.trace_id, obs::span_next_id(), item.trace_root,
                            obs::SpanStage::kEncode, enc_t0, obs::now_ns());
           lp.stage_trace(req.trace_id, item.trace_root);
         }
-#endif
       }
       if (run_conn != nullptr && out_len > run_off) {
         lp.runs.push_back(Loop::Run{run_first, run_off, out_len - run_off});
       }
       // Pass 2: the batch's decisions become durable (per the sync
       // policy), then — and only then — the responses go out.
-#if HETSCHED_METRICS_ENABLED
       const std::uint64_t gc_t0 =
           lp.staged_trace_count != 0 ? obs::now_ns() : 0;
-#endif
       commit_owned_wals(lp);
-#if HETSCHED_METRICS_ENABLED
       const std::uint64_t gc_t1 =
           lp.staged_trace_count != 0 ? obs::now_ns() : 0;
-#endif
       for (const Loop::Run& run : lp.runs) {
         send_to_connection(lp, lp.items[run.item].conn,
                            lp.outbuf.data() + run.off, run.len);
       }
-#if HETSCHED_METRICS_ENABLED
       if (lp.staged_trace_count != 0) {
         lp.record_batch_spans(gc_t0, gc_t1, obs::now_ns());
       }
-#endif
       // Drop connection refs so closed peers release their fds promptly.
       for (std::size_t i = 0; i < n; ++i) lp.items[i].conn.reset();
       lp.batcher.observe(n);
-#if HETSCHED_METRICS_ENABLED
       g_metrics.batch_frames.record_ns(n);
-#endif
     }
   }
 }
@@ -1758,27 +1639,20 @@ bool Server::drain_readable(Loop& lp, const std::shared_ptr<Connection>& conn) {
   const auto flush_staged = [&] {
     if (staged == 0) return;
     bump(counters_.batches);
-    HETSCHED_COUNT(g_metrics.batches);
     lp.batcher.observe(staged_frames);
-#if HETSCHED_METRICS_ENABLED
     g_metrics.batch_frames.record_ns(staged_frames);
     const std::uint64_t gc_t0 =
         lp.staged_trace_count != 0 ? obs::now_ns() : 0;
-#endif
     // WAL before reply: inline decisions staged their records in the
     // owning shards' arenas; the group commit lands them before the
     // responses can reach the wire.
     commit_owned_wals(lp);
-#if HETSCHED_METRICS_ENABLED
     const std::uint64_t gc_t1 =
         lp.staged_trace_count != 0 ? obs::now_ns() : 0;
-#endif
     send_to_connection(lp, conn, lp.outbuf.data(), staged);
-#if HETSCHED_METRICS_ENABLED
     if (lp.staged_trace_count != 0) {
       lp.record_batch_spans(gc_t0, gc_t1, obs::now_ns());
     }
-#endif
     staged = 0;
     staged_frames = 0;
   };
@@ -1803,17 +1677,14 @@ bool Server::drain_readable(Loop& lp, const std::shared_ptr<Connection>& conn) {
       // Decode span start: one clock read per frame while spans are
       // armed — the frame's trace id is unknown until after the decode.
       std::uint64_t root_span = 0;
-#if HETSCHED_METRICS_ENABLED
       std::uint64_t dec_t0 = 0;
       if (obs::span_enabled()) dec_t0 = obs::now_ns();
-#endif
       const DecodeResult r = decode_request(
           conn->rbuf.data() + off, conn->rbuf_len - off, &req, &consumed);
       if (r == DecodeResult::kNeedMore) break;
       if (r == DecodeResult::kBad) {
         // A desynced byte stream cannot be re-framed; drop the peer.
         bump(counters_.bad);
-        HETSCHED_COUNT(g_metrics.bad);
         alive = false;
         break;
       }
@@ -1822,14 +1693,11 @@ bool Server::drain_readable(Loop& lp, const std::shared_ptr<Connection>& conn) {
       // own length checks.  hetsched-lint: allow(parser-bounds)
       off += consumed;
       bump(counters_.frames_rx);
-      HETSCHED_COUNT(g_metrics.frames_rx);
-#if HETSCHED_METRICS_ENABLED
       if (req.trace_id != 0 && dec_t0 != 0) {
         root_span = obs::span_next_id();
         obs::span_record(req.trace_id, root_span, 0, obs::SpanStage::kDecode,
                          dec_t0, obs::now_ns());
       }
-#endif
       Response resp;
       bool respond_now = false;
       if (req.type == MsgType::kGetStats || req.type == MsgType::kGetTracez) {
@@ -1871,28 +1739,22 @@ bool Server::drain_readable(Loop& lp, const std::shared_ptr<Connection>& conn) {
               !paused_.load(std::memory_order_acquire)) {
             // The common case: decode -> warm admit -> encode on this core,
             // zero cross-thread hops.
-#if HETSCHED_METRICS_ENABLED
             std::uint64_t t0 = 0;
             if ((++lp.sample_tick & (obs::kLatencySamplePeriod - 1)) == 0) {
               t0 = obs::now_ns();
             }
-#endif
             resp = process_request(sh, req, root_span);
             bump(counters_.frames_inline);
-            HETSCHED_COUNT(g_metrics.frames_inline);
-#if HETSCHED_METRICS_ENABLED
             if (t0 != 0) {
               const std::uint64_t lat = obs::now_ns() - t0;
               g_metrics.latency.record_ns(lat);
               bump(lat <= options_.slo_ns ? sh.slo_ok : sh.slo_breach);
             }
-#endif
             respond_now = true;
           } else {
             Shard::WorkItem item;
             item.conn = conn;
             item.req = req;
-#if HETSCHED_METRICS_ENABLED
             if ((sh.push_tick.fetch_add(1, std::memory_order_relaxed) &
                  (obs::kLatencySamplePeriod - 1)) == 0) {
               item.enq_ns = obs::now_ns();
@@ -1901,7 +1763,6 @@ bool Server::drain_readable(Loop& lp, const std::shared_ptr<Connection>& conn) {
               item.trace_root = root_span;
               item.trace_enq_ns = obs::now_ns();
             }
-#endif
             if (!sh.queue.try_push(std::move(item))) {
               resp.type = req.type;
               resp.status = Status::kRetryLater;
@@ -1917,18 +1778,14 @@ bool Server::drain_readable(Loop& lp, const std::shared_ptr<Connection>& conn) {
       }
       if (respond_now) {
         count_response(resp);
-#if HETSCHED_METRICS_ENABLED
         const std::uint64_t enc_t0 = root_span != 0 ? obs::now_ns() : 0;
-#endif
         staged += encode_response(resp, lp.outbuf.data() + staged);
         ++staged_frames;
-#if HETSCHED_METRICS_ENABLED
         if (root_span != 0) {
           obs::span_record(req.trace_id, obs::span_next_id(), root_span,
                            obs::SpanStage::kEncode, enc_t0, obs::now_ns());
           lp.stage_trace(req.trace_id, root_span);
         }
-#endif
         if (staged_frames >= lp.batcher.limit() ||
             staged + kFrameSize > lp.outbuf.size()) {
           flush_staged();

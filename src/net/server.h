@@ -75,13 +75,11 @@
 // backlogs (bounded by write_timeout_ms), and exits.  A clean stop
 // answers everything it has accepted responsibility for.
 //
-// Observability (compiled with -DHETSCHED_METRICS=ON): per-shard
-// queue-depth gauges, per-loop open-connection gauges, a batch-size
-// histogram (frames per drain round), admit / reject / retry / depart
-// counters, and a sampled request latency histogram; README
-// "Observability" lists the full net_* catalog.  ServerStats mirrors the
-// decision counters as plain atomics so tests and the load generator
-// work in metrics-off builds too.
+// Observability: per-shard queue-depth gauges, per-loop open-connection
+// gauges, a batch-size histogram (frames per drain round), a resize-pause
+// histogram, and a sampled request latency histogram; README
+// "Observability" lists the full net_* catalog.  Decisions (admit /
+// reject / retry / depart ...) are counted once, in ServerStats.
 #pragma once
 
 #include <atomic>
@@ -155,13 +153,13 @@ struct ServerOptions {
   std::size_t snapshot_every = 65536;
   // Per-request latency SLO: sampled request latencies at or under this
   // land in the shard's slo_ok burn counter, the rest in slo_breach
-  // (net_slo_* in /metrics and GET_STATS).  Attribution needs the
-  // sampled latency path, so the counters move only in metrics-ON builds.
+  // (net_slo_* in /metrics and GET_STATS).  Attribution rides the
+  // sampled latency path (one request in obs::kLatencySamplePeriod).
   std::uint64_t slo_ns = 1'000'000;
 };
 
-// Decision counters, independent of the obs layer so they exist in
-// metrics-off builds.  Eventually consistent while threads run; exact
+// Decision counters: exact per-Server atomics, the one place each server
+// decision is counted.  Eventually consistent while threads run; exact
 // after wait().
 struct ServerStats {
   std::uint64_t connections = 0;
@@ -222,16 +220,16 @@ class Server {
   ServerStats stats() const;
 
   // Prometheus-style text exposition: ServerStats rendered as
-  // hetsched_net_* counters, per-shard net_slo_* burn counters, and (in
-  // metrics-ON builds) the full obs registry.  This is the body of both
-  // the GET_STATS info frame and the HTTP /metrics side port.
+  // hetsched_server_* counters, per-shard net_slo_* burn counters, and the
+  // full obs registry.  This is the body of both the GET_STATS info frame
+  // and the HTTP /metrics side port.
   std::string stats_text() const;
 
   // The `k` slowest reassembled traces as JSONL (the GET_TRACEZ body).
-  // Empty when spans are compiled out or disabled.
+  // Empty when spans are disabled.
   std::string tracez_text(std::size_t k) const;
 
-  // Per-shard SLO burn counters (metrics-ON builds; zero otherwise).
+  // Per-shard SLO burn counters.
   std::uint64_t shard_slo_ok(std::size_t shard) const;
   std::uint64_t shard_slo_breach(std::size_t shard) const;
 

@@ -8,7 +8,6 @@ namespace hetsched::net {
 
 namespace {
 
-#if HETSCHED_METRICS_ENABLED
 struct RecoveryMetrics {
   obs::Counter replayed = obs::registry().counter(
       "hetsched_wal_replayed_records_total",
@@ -21,7 +20,6 @@ const RecoveryMetrics& recovery_metrics() {
   static const RecoveryMetrics m;
   return m;
 }
-#endif  // HETSCHED_METRICS_ENABLED
 
 std::string shard_error(std::size_t shard, const std::string& what) {
   char buf[32];

@@ -1,7 +1,6 @@
 // Per-shard flight recorder: a fixed ring of the last kFlightCapacity
-// decisions a shard made, cheap enough to run unconditionally in
-// metrics-ON builds (no runtime gate — ~6 relaxed stores per decision)
-// and dumped as JSONL:
+// decisions a shard made, cheap enough to run unconditionally (no runtime
+// gate — ~6 relaxed stores per decision) and dumped as JSONL:
 //
 //   * on SIGUSR1 (hetsched_cli serve handles the signal in its wait
 //     loop and calls flight_dump_path),
@@ -26,10 +25,6 @@
 //
 //   {"seq":12,"t_ns":987,"shard":0,"kind":1,"status":0,"machine":2,
 //    "request_id":41,"value":4602891378046628709,"trace_id":0}
-//
-// When HETSCHED_METRICS is compiled out, HETSCHED_FLIGHT_RECORD is an
-// empty statement and dumps emit nothing — the hot path is bit-identical
-// to an uninstrumented build (the existing checksum gate proves it).
 #pragma once
 
 #include "obs/metrics.h"
@@ -71,8 +66,7 @@ class FlightRecorder {
   std::uint16_t shard() const { return shard_; }
 
   // Single-writer append (owner loop only).  Prefer the
-  // HETSCHED_FLIGHT_RECORD macro, which compiles out with the metrics
-  // kill switch.
+  // HETSCHED_FLIGHT_RECORD macro.
   void record(std::uint8_t kind, std::uint8_t status, std::uint32_t machine,
               std::uint64_t request_id, std::uint64_t value,
               std::uint64_t trace_id);
@@ -118,7 +112,6 @@ void flight_install_crash_handler(const char* path);
 // metric macros, call sites inside HETSCHED_NOALLOC / HETSCHED_OWNER_LOOP
 // functions must use a pre-registered recorder (a member wired at
 // startup), never a by-name lookup — lint rule [metric-handle].
-#if HETSCHED_METRICS_ENABLED
 #define HETSCHED_FLIGHT_RECORD(rec, kind, status, machine, request_id, value, \
                                trace_id)                                      \
   ((rec).record(static_cast<std::uint8_t>(kind),                              \
@@ -127,9 +120,3 @@ void flight_install_crash_handler(const char* path);
                 static_cast<std::uint64_t>(request_id),                       \
                 static_cast<std::uint64_t>(value),                            \
                 static_cast<std::uint64_t>(trace_id)))
-#else
-#define HETSCHED_FLIGHT_RECORD(rec, kind, status, machine, request_id, value, \
-                               trace_id)                                      \
-  do {                                                                        \
-  } while (false)
-#endif

@@ -191,10 +191,6 @@ double HistogramSnapshot::percentile_ns(double p) const {
 std::string Registry::expose() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::ostringstream out;
-  out << "hetsched_metrics_enabled " << (kMetricsCompiled ? 1 : 0) << "\n";
-  if (!kMetricsCompiled) {
-    out << "# instrumentation compiled out (-DHETSCHED_METRICS=OFF)\n";
-  }
   for (std::size_t i = 0; i < counter_meta_.size(); ++i) {
     const Meta& m = counter_meta_[i];
     out << "# HELP " << m.name << " " << m.help << "\n";

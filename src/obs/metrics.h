@@ -1,5 +1,5 @@
-// Zero-overhead-when-off observability: counters, gauges, and log-spaced
-// latency histograms behind a preallocated, lock-free registry.
+// Always-on observability: counters, gauges, and log-spaced latency
+// histograms behind a preallocated, lock-free registry.
 //
 // Design (mirrors the per-CPU counter idiom of production allocators):
 //   * Every metric is a small value handle (an index into fixed-capacity
@@ -24,26 +24,14 @@
 //     only a thread-local tick increment.  HETSCHED_TIMED times every
 //     call; use it where the operation is micro-seconds or rarer.
 //
-// Kill switch (same pattern as partition/audit.h): unless the build
-// defines HETSCHED_METRICS (-DHETSCHED_METRICS=ON in CMake), every
-// HETSCHED_COUNT / HETSCHED_COUNT_ADD / HETSCHED_GAUGE_SET /
-// HETSCHED_TIMED / HETSCHED_TIMED_SAMPLED / HETSCHED_TRACE_EVENT use
-// compiles to an empty statement, so default Release binaries carry no
-// instrumentation at all — bench_obs_overhead proves the OFF build makes
-// bit-identical decisions at unchanged latency.  Wrap the handle
-// definitions themselves in `#if HETSCHED_METRICS_ENABLED` blocks, again
-// like the audit hooks.
+// The instrumentation is compiled into every build; what costs time at
+// run time is gated at run time (trace.h / span.h switches, the sampling
+// period below).  bench_obs_overhead measures those gates in-process.
 //
 // Instrumentation inside HETSCHED_NOALLOC-annotated functions must pass a
 // pre-registered handle to these macros, never a by-name registry lookup;
 // tools/lint/hetsched_lint rule [metric-handle] enforces this.
 #pragma once
-
-#ifdef HETSCHED_METRICS
-#define HETSCHED_METRICS_ENABLED 1
-#else
-#define HETSCHED_METRICS_ENABLED 0
-#endif
 
 #include <atomic>
 #include <bit>
@@ -56,9 +44,6 @@
 #include <vector>
 
 namespace hetsched::obs {
-
-// True when the instrumentation macros are compiled in.
-inline constexpr bool kMetricsCompiled = HETSCHED_METRICS_ENABLED != 0;
 
 // Fixed registry capacities; registration past these aborts (bump the
 // constant — the point is that capacity is a compile-time decision, not a
@@ -301,12 +286,9 @@ class ScopedLatencyTimer {
 }  // namespace hetsched::obs
 
 // ---------------------------------------------------------------------------
-// Instrumentation macros.  When HETSCHED_METRICS is off, every one of these
-// expands to an empty statement and the argument expressions are discarded
-// textually — the handles they name need not even exist.
+// Instrumentation macros.  Every use names a pre-registered handle, which
+// keeps the hot path free of by-name lookups (lint rule [metric-handle]).
 // ---------------------------------------------------------------------------
-
-#if HETSCHED_METRICS_ENABLED
 
 #define HETSCHED_OBS_CAT2(a, b) a##b
 #define HETSCHED_OBS_CAT(a, b) HETSCHED_OBS_CAT2(a, b)
@@ -340,26 +322,3 @@ class ScopedLatencyTimer {
       hetsched_obs_timer_, __LINE__)(                                         \
       (handle), (++HETSCHED_OBS_CAT(hetsched_obs_tick_, __LINE__) &           \
                  (::hetsched::obs::kLatencySamplePeriod - 1)) == 0)
-
-#else  // !HETSCHED_METRICS_ENABLED
-
-#define HETSCHED_COUNT(handle) \
-  do {                         \
-  } while (false)
-#define HETSCHED_COUNT_ADD(handle, n) \
-  do {                                \
-  } while (false)
-#define HETSCHED_GAUGE_SET(handle, v) \
-  do {                                \
-  } while (false)
-#define HETSCHED_GAUGE_ADD(handle, d) \
-  do {                                \
-  } while (false)
-#define HETSCHED_TIMED(handle) \
-  do {                         \
-  } while (false)
-#define HETSCHED_TIMED_SAMPLED(handle) \
-  do {                                 \
-  } while (false)
-
-#endif  // HETSCHED_METRICS_ENABLED

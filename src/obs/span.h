@@ -9,12 +9,11 @@
 // id 0 — everything an old minor-1 client sends) record nothing.
 //
 // Hot-path contract: while spans are disabled at runtime, the only cost
-// at an instrumented site is one relaxed atomic bool load; when
-// HETSCHED_METRICS is compiled out the macros below are empty
-// statements.  With spans enabled, untraced requests pay the gate load
-// plus (at some sites) one clock read; only requests that carry a trace
-// id pay the full record: six relaxed stores into the calling thread's
-// ring plus one shared fetch_add for the span id.
+// at an instrumented site is one relaxed atomic bool load.  With spans
+// enabled, untraced requests pay the gate load plus (at some sites) one
+// clock read; only requests that carry a trace id pay the full record:
+// six relaxed stores into the calling thread's ring plus one shared
+// fetch_add for the span id.
 //
 // Concurrency mirrors obs/trace.h exactly: one writer per ring (the
 // owning thread), drain reads live rings relaxed (torn reads possible
@@ -114,12 +113,11 @@ std::vector<TraceSummary> slowest_traces(std::vector<SpanRecord> spans,
 
 }  // namespace hetsched::obs
 
-// Records a completed span interval iff spans are compiled in, enabled at
-// runtime, and `trace_id` is nonzero.  Instrumentation inside
-// HETSCHED_NOALLOC / HETSCHED_OWNER_LOOP functions must pass plain
-// values — never a by-name registry lookup; tools/lint/hetsched_lint
-// rule [metric-handle] enforces this.
-#if HETSCHED_METRICS_ENABLED
+// Records a completed span interval iff spans are enabled at runtime and
+// `trace_id` is nonzero.  Instrumentation inside HETSCHED_NOALLOC /
+// HETSCHED_OWNER_LOOP functions must pass plain values — never a by-name
+// registry lookup; tools/lint/hetsched_lint rule [metric-handle] enforces
+// this.
 #define HETSCHED_SPAN_RECORD(trace_id, span_id, parent_id, stage, t0, t1)   \
   do {                                                                      \
     if ((trace_id) != 0 && ::hetsched::obs::span_enabled()) [[unlikely]] {  \
@@ -127,8 +125,3 @@ std::vector<TraceSummary> slowest_traces(std::vector<SpanRecord> spans,
                                    (stage), (t0), (t1));                    \
     }                                                                       \
   } while (false)
-#else
-#define HETSCHED_SPAN_RECORD(trace_id, span_id, parent_id, stage, t0, t1) \
-  do {                                                                    \
-  } while (false)
-#endif

@@ -3,10 +3,9 @@
 // io/obs_jsonl.
 //
 // Hot-path contract: HETSCHED_TRACE_EVENT costs one relaxed atomic bool
-// load (~1 ns) while tracing is disabled at runtime, and nothing at all
-// when HETSCHED_METRICS is compiled out.  When enabled, recording an
-// event is four relaxed stores into the calling thread's ring plus one
-// shared fetch_add for the global sequence number — no locks, no
+// load (~1 ns) while tracing is disabled at runtime.  When enabled,
+// recording an event is four relaxed stores into the calling thread's
+// ring plus one shared fetch_add for the global sequence number — no locks, no
 // allocation (the rings are embedded arrays).
 //
 // Concurrency: each ring has a single writer (its owning thread).  The
@@ -63,8 +62,8 @@ inline bool trace_enabled() {
 }
 
 // Records an event into the calling thread's ring (no-op unless tracing
-// is enabled).  Prefer the HETSCHED_TRACE_EVENT macro, which compiles out
-// with the metrics kill switch.
+// is enabled).  Prefer the HETSCHED_TRACE_EVENT macro, which skips the
+// call while tracing is disabled.
 void trace_record(TraceKind kind, bool ok, std::uint32_t machine,
                   std::uint64_t value);
 
@@ -78,7 +77,6 @@ std::uint64_t trace_dropped();
 
 }  // namespace hetsched::obs
 
-#if HETSCHED_METRICS_ENABLED
 #define HETSCHED_TRACE_EVENT(kind, ok, machine, value)                     \
   do {                                                                     \
     if (::hetsched::obs::trace_enabled()) [[unlikely]] {                   \
@@ -87,8 +85,3 @@ std::uint64_t trace_dropped();
                                     static_cast<std::uint64_t>(value));    \
     }                                                                      \
   } while (false)
-#else
-#define HETSCHED_TRACE_EVENT(kind, ok, machine, value) \
-  do {                                                 \
-  } while (false)
-#endif

@@ -16,7 +16,6 @@
 
 namespace hetsched {
 
-#if HETSCHED_METRICS_ENABLED
 namespace {
 
 // Pre-registered handles (lint rule [metric-handle]: hot paths must not
@@ -57,7 +56,6 @@ struct OnlineMetrics {
 const OnlineMetrics g_metrics;
 
 }  // namespace
-#endif  // HETSCHED_METRICS_ENABLED
 
 OnlinePartitioner::OnlinePartitioner(const Platform& platform,
                                      AdmissionKind kind, double alpha,

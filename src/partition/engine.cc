@@ -9,7 +9,6 @@
 
 namespace hetsched {
 
-#if HETSCHED_METRICS_ENABLED
 namespace {
 
 // Pre-registered handles (lint rule [metric-handle]); constructed during
@@ -32,7 +31,6 @@ struct SlackTreeMetrics {
 const SlackTreeMetrics g_tree_metrics;
 
 }  // namespace
-#endif  // HETSCHED_METRICS_ENABLED
 
 std::string to_string(PartitionEngine e) {
   switch (e) {

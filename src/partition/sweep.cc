@@ -4,7 +4,6 @@
 
 namespace hetsched {
 
-#if HETSCHED_METRICS_ENABLED
 namespace {
 
 struct SweepMetrics {
@@ -16,7 +15,6 @@ struct SweepMetrics {
 const SweepMetrics g_sweep_metrics;
 
 }  // namespace
-#endif  // HETSCHED_METRICS_ENABLED
 
 void partition_sweep(std::size_t trials, const SweepOptions& options,
                      const std::function<void(SweepContext&)>& body) {

@@ -7,7 +7,6 @@
 
 namespace hetsched {
 
-#if HETSCHED_METRICS_ENABLED
 namespace {
 
 struct PoolMetrics {
@@ -23,7 +22,6 @@ struct PoolMetrics {
 const PoolMetrics g_pool_metrics;
 
 }  // namespace
-#endif  // HETSCHED_METRICS_ENABLED
 
 ThreadPool::ThreadPool(std::size_t threads) {
   if (threads == 0) {

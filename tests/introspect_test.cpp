@@ -3,11 +3,6 @@
 // variable-length info-frame codec, GET_STATS / GET_TRACEZ over a live
 // loopback server, the HTTP side port (/metrics, /healthz), and the
 // per-shard flight recorder wired through the server.
-//
-// Span-content assertions are gated on HETSCHED_METRICS_ENABLED: the
-// frames, status codes, and HTTP endpoints must work identically in OFF
-// builds (where tracez bodies are simply empty) — that invariance is the
-// kill-switch contract for the introspection plane.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -28,6 +23,7 @@
 #include "net/protocol.h"
 #include "net/server.h"
 #include "obs/flight_recorder.h"
+#include "obs/metrics.h"
 #include "obs/span.h"
 
 namespace hetsched::net {
@@ -181,7 +177,6 @@ TEST(IntrospectLoopback, TracedAndUntracedFramesInterleave) {
   server.wait();
   obs::set_span_enabled(false);
 
-#if HETSCHED_METRICS_ENABLED
   // The traced frames left spans behind; the untraced one did not.
   const std::vector<obs::SpanRecord> spans = obs::span_drain();
   ASSERT_FALSE(spans.empty());
@@ -205,9 +200,6 @@ TEST(IntrospectLoopback, TracedAndUntracedFramesInterleave) {
     EXPECT_LE(sp.t0_ns, sp.t1_ns) << to_string(sp.stage);
     EXPECT_NE(sp.span_id, 0u);
   }
-#else
-  EXPECT_TRUE(obs::span_drain().empty());  // kill switch: no spans, ever
-#endif
 }
 
 TEST(IntrospectLoopback, GetStatsAnswersPrometheusText) {
@@ -231,7 +223,7 @@ TEST(IntrospectLoopback, GetStatsAnswersPrometheusText) {
             std::string::npos);
   EXPECT_NE(info.text.find("hetsched_server_admitted_total 1"),
             std::string::npos);
-  // The SLO burn families are present per shard in every build mode.
+  // The SLO burn families are present per shard.
   EXPECT_NE(info.text.find("hetsched_net_slo_ok_total{shard=\"0\"}"),
             std::string::npos);
   EXPECT_NE(info.text.find("hetsched_net_slo_breach_total{shard=\"1\"}"),
@@ -251,6 +243,42 @@ TEST(IntrospectLoopback, GetStatsAnswersPrometheusText) {
 
   server.request_stop();
   server.wait();
+}
+
+// Value of the `<name> <value>` sample line in a Prometheus exposition,
+// or -1 when the line is missing.
+long long sample_value(const std::string& text, const std::string& name) {
+  const std::string key = "\n" + name + " ";
+  const std::size_t pos = text.find(key);
+  if (pos == std::string::npos) return -1;
+  return std::stoll(text.substr(pos + key.size()));
+}
+
+// The server samples request latency into the histogram and the
+// per-shard SLO burn counters: after 2 x kLatencySamplePeriod served
+// frames both must have moved.
+TEST(IntrospectLoopback, SampledLatencyFeedsHistogramAndSloCounters) {
+  const Platform pf = geometric_platform(4, 1.5);
+  ServerOptions opts;
+  opts.shards = 1;
+  Server server(pf, opts);
+  std::string err;
+  ASSERT_TRUE(server.start(&err)) << err;
+  const std::string count_name = "hetsched_net_request_latency_ns_count";
+  const long long count0 =
+      std::max(0LL, sample_value(server.stats_text(), count_name));
+  Client client;
+  ASSERT_TRUE(client.connect(loopback_addr(server), 2000, &err)) << err;
+  Response r;
+  const std::uint64_t frames = 2 * obs::kLatencySamplePeriod;
+  for (std::uint64_t i = 0; i < frames; ++i) {
+    ASSERT_TRUE(client.call(Request::admit(0, i, 1, 1'000'000), &r, 2000));
+  }
+  server.request_stop();
+  server.wait();
+
+  EXPECT_GT(server.shard_slo_ok(0) + server.shard_slo_breach(0), 0u);
+  EXPECT_GT(sample_value(server.stats_text(), count_name), count0);
 }
 
 TEST(IntrospectLoopback, GetTracezAnswersSlowestTracesAsJsonl) {
@@ -278,7 +306,6 @@ TEST(IntrospectLoopback, GetTracezAnswersSlowestTracesAsJsonl) {
   EXPECT_EQ(info.request_id, 9u);
   obs::set_span_enabled(false);
 
-#if HETSCHED_METRICS_ENABLED
   // 4 traces exist; --slowest 3 caps the answer at 3 JSONL lines.
   EXPECT_EQ(info.value, 3u);
   std::size_t lines = 0;
@@ -294,10 +321,6 @@ TEST(IntrospectLoopback, GetTracezAnswersSlowestTracesAsJsonl) {
     start = end + 1;
   }
   EXPECT_EQ(lines, 3u);
-#else
-  EXPECT_EQ(info.value, 0u);  // kill switch: structurally valid, empty
-  EXPECT_TRUE(info.text.empty());
-#endif
 
   server.request_stop();
   server.wait();
@@ -305,7 +328,7 @@ TEST(IntrospectLoopback, GetTracezAnswersSlowestTracesAsJsonl) {
 
 // The flight recorder captures the last decisions per shard and dumps
 // them through the global signal-safe path the SIGUSR1 / crash handlers
-// use.  In OFF builds the recording macro is empty, so the dump is too.
+// use.
 TEST(IntrospectLoopback, FlightRecorderCapturesServedDecisions) {
   const Platform pf = geometric_platform(4, 1.5);
   ServerOptions opts;
@@ -330,14 +353,10 @@ TEST(IntrospectLoopback, FlightRecorderCapturesServedDecisions) {
   std::vector<std::string> lines;
   std::string line;
   while (std::getline(in, line)) lines.push_back(line);
-#if HETSCHED_METRICS_ENABLED
   ASSERT_EQ(lines.size(), 2u);  // one entry per decision, same shard ring
   EXPECT_NE(lines[0].find("\"kind\":1"), std::string::npos);
   EXPECT_NE(lines[0].find("\"trace_id\":48879"), std::string::npos);  // 0xBEEF
   EXPECT_NE(lines[1].find("\"request_id\":2"), std::string::npos);
-#else
-  EXPECT_TRUE(lines.empty());
-#endif
 }
 
 // ---------------------------------------------------------------------

@@ -1,12 +1,7 @@
 // Tests for the observability layer (src/obs): bucket mapping against
 // util/stats.h's Histogram, registry aggregation across threads (the
 // TSan-matrix workload for `ctest -L obs`), trace ring semantics, JSONL
-// serialization, and the kill-switch contract.
-//
-// The Counter/Gauge/LatencyHistogram classes and the registry exist in
-// BOTH build modes — only the HETSCHED_* macros compile away with
-// -DHETSCHED_METRICS=OFF — so most of this file runs unconditionally and
-// the macro-gated sections assert the mode-specific behavior.
+// serialization, and the instrumentation macros.
 #include "obs/metrics.h"
 
 #include <cmath>
@@ -161,7 +156,7 @@ TEST(ObsRegistry, ExposeFormat) {
   obs::Counter c = obs::registry().counter("test_expose_total", "help text");
   c.inc();
   const std::string text = obs::registry().expose();
-  EXPECT_EQ(text.rfind("hetsched_metrics_enabled ", 0), 0u);
+  EXPECT_EQ(text.rfind("# HELP ", 0), 0u);
   EXPECT_NE(text.find("# HELP test_expose_total help text"),
             std::string::npos);
   EXPECT_NE(text.find("# TYPE test_expose_total counter"),
@@ -169,12 +164,10 @@ TEST(ObsRegistry, ExposeFormat) {
 }
 
 // ---------------------------------------------------------------------
-// Kill-switch contract.
+// Instrumentation macros.
 // ---------------------------------------------------------------------
 
-#if HETSCHED_METRICS_ENABLED
-
-// With metrics compiled in, the macros must actually bump.
+// The macros must actually bump.
 TEST(ObsMacros, MacrosBumpWhenEnabled) {
   static const obs::Counter c =
       obs::registry().counter("test_macro_total", "");
@@ -183,25 +176,6 @@ TEST(ObsMacros, MacrosBumpWhenEnabled) {
   HETSCHED_COUNT_ADD(c, 4);
   EXPECT_EQ(obs::registry().counter_value(c), before + 5);
 }
-
-#else  // !HETSCHED_METRICS_ENABLED
-
-// With metrics compiled out, macro arguments are discarded textually —
-// this must compile even though no such handle exists anywhere.
-TEST(ObsMacros, MacrosDiscardArgumentsWhenDisabled) {
-  HETSCHED_COUNT(no_such_handle_anywhere);
-  HETSCHED_COUNT_ADD(no_such_handle_anywhere, 123);
-  HETSCHED_GAUGE_SET(no_such_handle_anywhere, -1);
-  HETSCHED_TIMED(no_such_handle_anywhere);
-  HETSCHED_TIMED_SAMPLED(no_such_handle_anywhere);
-  HETSCHED_TRACE_EVENT(no_such_kind, true, 0, 0);
-  HETSCHED_SPAN_RECORD(no_such_id, no_such_id, no_such_id, no_such_stage, 0,
-                       0);
-  HETSCHED_FLIGHT_RECORD(no_such_recorder_anywhere, 0, 0, 0, 0, 0, 0);
-  SUCCEED();
-}
-
-#endif  // HETSCHED_METRICS_ENABLED
 
 // ---------------------------------------------------------------------
 // Trace ring.
@@ -429,7 +403,6 @@ TEST(ObsSpanJson, RecordAndTracezFormat) {
                       span_record_json(sp) + "]}\n");
 }
 
-#if HETSCHED_METRICS_ENABLED
 // The macro must gate on BOTH the runtime switch and a nonzero trace id.
 TEST(ObsSpan, MacroGatesOnSwitchAndTraceId) {
   obs::span_drain();
@@ -443,7 +416,6 @@ TEST(ObsSpan, MacroGatesOnSwitchAndTraceId) {
   obs::set_span_enabled(false);
   EXPECT_EQ(obs::span_drain().size(), 1u);
 }
-#endif  // HETSCHED_METRICS_ENABLED
 
 // ---------------------------------------------------------------------
 // Flight recorder (obs/flight_recorder.h).
@@ -509,13 +481,11 @@ TEST(ObsFlight, DumpWritesParseableJsonl) {
   EXPECT_EQ(ours, 1u);
 }
 
-#if HETSCHED_METRICS_ENABLED
 TEST(ObsFlight, MacroRecordsWhenCompiledIn) {
   obs::FlightRecorder rec;
   HETSCHED_FLIGHT_RECORD(rec, 1, 0, 0, 7, 0, 0);
   EXPECT_EQ(rec.recorded(), 1u);
 }
-#endif  // HETSCHED_METRICS_ENABLED
 
 // ---------------------------------------------------------------------
 // Instrumented paths end to end.
@@ -525,7 +495,7 @@ TEST(ObsFlight, MacroRecordsWhenCompiledIn) {
 // builds replay decisions through shadow oracles built on the same
 // instrumented paths, inflating the counters, so the exact-count asserts
 // only hold in non-audit builds.
-#if HETSCHED_METRICS_ENABLED && !HETSCHED_AUDIT_ENABLED
+#if !HETSCHED_AUDIT_ENABLED
 TEST(ObsInstrumentation, AdmitDepartCountsAreExact) {
   obs::Counter warm =
       obs::registry().counter("hetsched_admit_warm_total", "");
@@ -572,22 +542,7 @@ TEST(ObsInstrumentation, AdmitTraceEventsMatchDecisions) {
   EXPECT_EQ(events[2].kind, obs::TraceKind::kDepart);
   EXPECT_TRUE(events[2].ok);
 }
-#endif  // HETSCHED_METRICS_ENABLED && !HETSCHED_AUDIT_ENABLED
-
-#if !HETSCHED_METRICS_ENABLED
-// With the kill switch off, instrumented code paths must record nothing:
-// the admit below would otherwise produce trace events.
-TEST(ObsInstrumentation, InstrumentationCompiledOutRecordsNothing) {
-  obs::trace_drain();
-  obs::set_trace_enabled(true);
-  OnlinePartitioner ctl(Platform::from_speeds({1.0}), AdmissionKind::kEdf,
-                        1.0);
-  const AdmitDecision a = ctl.admit(Task{1, 2});
-  ASSERT_TRUE(a.admitted);
-  obs::set_trace_enabled(false);
-  EXPECT_TRUE(obs::trace_drain().empty());
-}
-#endif  // !HETSCHED_METRICS_ENABLED
+#endif  // !HETSCHED_AUDIT_ENABLED
 
 }  // namespace
 }  // namespace hetsched

@@ -29,7 +29,7 @@
 //       report acceptance ratio, regret vs the clairvoyant batch re-pack,
 //       and migration counts.  --stats appends the end-of-trace metrics
 //       snapshot (see below); --trace-out records per-decision events and
-//       writes them as JSONL (requires -DHETSCHED_METRICS=ON).
+//       writes them as JSONL.
 //   hetsched_cli serve --listen <host:port> [--shards N] [--loops L]
 //       [--admission KIND] [--alpha X] [--engine E] [--queue-depth D]
 //       [--batch K] [--batch-min K]
@@ -69,8 +69,8 @@
 //       serve --listen instance over the binary protocol (kGetStats).
 //   hetsched_cli tracez <host:port> [--slowest K] [--timeout-ms N]
 //       Fetch the K slowest reassembled traces (JSONL, one trace per
-//       line) from a running server (kGetTracez; needs --tracing and a
-//       -DHETSCHED_METRICS=ON server build to be non-empty).
+//       line) from a running server (kGetTracez; needs a server started
+//       with --tracing to be non-empty).
 //   hetsched_cli recover --wal-dir DIR [--shards N] [--admission KIND]
 //       [--alpha X] [--engine E] [--machines M] [--ratio R |
 //       --platform FILE] [--admission-test T] [--admit-band X]
@@ -86,13 +86,10 @@
 //       holds a flight-recorder dump (flight.jsonl — written by SIGUSR1
 //       or the crash handler), its tail is printed with the summary.
 //
-// Metrics snapshot format (README "Observability"): a line
-// "hetsched_metrics_enabled 0|1", then Prometheus-style text — # HELP /
-// # TYPE comments, counter and gauge samples, histogram cumulative
-// buckets with _sum/_count — plus one "# percentiles <name> p50=...
-// p95=... p99=... p999=..." comment per latency histogram.  When the
-// binary was built without -DHETSCHED_METRICS=ON the snapshot is just the
-// hetsched_metrics_enabled 0 line and a compiled-out notice.
+// Metrics snapshot format (README "Observability"): Prometheus-style
+// text — # HELP / # TYPE comments, counter and gauge samples, histogram
+// cumulative buckets with _sum/_count — plus one "# percentiles <name>
+// p50=... p95=... p99=... p999=..." comment per latency histogram.
 //
 // Instance file format: see src/io/text_format.h.
 // Trace file format: see src/io/trace_format.h (arrive lines may carry an
@@ -511,11 +508,6 @@ int cmd_replay(const Args& args) {
   const auto engine = engine_flag(args);
   if (!engine) return usage();
   const std::string trace_out = args.get("trace-out", "");
-  if (!trace_out.empty() && !obs::kMetricsCompiled) {
-    std::fprintf(stderr,
-                 "warning: --trace-out needs -DHETSCHED_METRICS=ON; the "
-                 "event trace will be empty\n");
-  }
   if (!trace_out.empty()) obs::set_trace_enabled(true);
 
   ChurnOptions options;
@@ -619,13 +611,6 @@ int cmd_serve(const Args& args) {
       static_cast<std::uint64_t>(args.get_long("slo-us", 1000)) * 1000;
   const auto stats_interval = args.get_long("stats-interval", 0);
   const std::string trace_out = args.get("trace-out", "");
-  if ((stats_interval > 0 || !trace_out.empty() || args.has("tracing")) &&
-      !obs::kMetricsCompiled) {
-    std::fprintf(stderr,
-                 "warning: this binary was built without "
-                 "-DHETSCHED_METRICS=ON; snapshots, traces and spans are "
-                 "empty\n");
-  }
   if (!trace_out.empty()) obs::set_trace_enabled(true);
   if (args.has("tracing")) obs::set_span_enabled(true);
 
