@@ -1,15 +1,34 @@
 #include "core/uniproc.h"
 
+#include <array>
 #include <cmath>
 
 #include "util/check.h"
 
 namespace hetsched {
 
-double rms_liu_layland_bound(std::size_t n) {
+namespace {
+
+double liu_layland_formula(std::size_t n) {
   if (n == 0) return 1.0;
   const double inv = 1.0 / static_cast<double>(n);
   return static_cast<double>(n) * (std::exp2(inv) - 1.0);
+}
+
+}  // namespace
+
+double rms_liu_layland_bound(std::size_t n) {
+  // The admission predicate evaluates the bound on every first-fit probe,
+  // so the common task counts are tabulated; each entry is the formula's
+  // own value, so callers see the same bits either way.  Filling the table
+  // on first use has no effect a caller can observe, which keeps the
+  // function gnu::const.
+  static const std::array<double, 1024> table = [] {
+    std::array<double, 1024> t{};
+    for (std::size_t k = 0; k < t.size(); ++k) t[k] = liu_layland_formula(k);
+    return t;
+  }();
+  return n < table.size() ? table[n] : liu_layland_formula(n);
 }
 
 double rms_utilization_limit() { return std::log(2.0); }

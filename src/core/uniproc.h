@@ -21,7 +21,9 @@ namespace hetsched {
 // n (2^{1/n} - 1); the Liu–Layland utilization bound for n tasks under
 // rate-monotonic priorities.  Decreases monotonically from 1.0 (n=1) towards
 // ln 2 ~= 0.6931.  Returns 1.0 for n == 0 (an empty machine accepts).
-double rms_liu_layland_bound(std::size_t n);
+// A pure function of n (gnu::const), so the compiler evaluates it once
+// for all the probes of one admission_slack threshold search.
+[[gnu::const]] double rms_liu_layland_bound(std::size_t n);
 
 // ln 2: the limit of the Liu–Layland bound, usable for any task count.
 double rms_utilization_limit();

@@ -3,25 +3,33 @@
 // All three batch entry points — first_fit_partition, first_fit_accepts and
 // min_feasible_alpha — run on one allocation-free scratch engine: the
 // canonical (utilization-descending) order, then first fit over the
-// per-machine slack array through admission_fold_step and SlackTree.
-// OnlinePartitioner (online/online_partitioner.h) is the online engine and
-// decides through the same two primitives, so the batch and online paths
-// make bit-identical decisions; tests/online_equivalence_test.cpp pins that
-// across seeded instances, and in audit builds each engine checks the
-// other.  kRmsResponseTime has no slack form and runs a MachineLoad scan.
+// per-machine slack array.  The tree engine keeps a finger on the machine
+// the last task went to: a task that no machine left of the finger can
+// take (w > left_max) and that the finger admits goes there in O(1), with
+// its slack left stale; only the other tasks refresh the finger's slack
+// and descend the SlackTree.  In the canonical order almost every task
+// takes the fast path, so a run costs O(n) predicate evaluations plus one
+// O(log m) descent per finger move.  OnlinePartitioner
+// (online/online_partitioner.h) is the online engine and decides through
+// the same primitives of partition/admission.h and SlackTree, so the batch
+// and online paths make bit-identical decisions;
+// tests/online_equivalence_test.cpp pins that across seeded instances, and
+// in audit builds each engine checks the other.
+// kRmsResponseTime has no slack form and runs a MachineLoad scan.
 #include "partition/first_fit.h"
 
 #include <iomanip>
+#include <limits>
 #include <span>
 #include <sstream>
 
+#include "obs/metrics.h"
 #include "online/online_partitioner.h"
 #include "partition/audit.h"
 #include "util/check.h"
 
 #if HETSCHED_AUDIT_ENABLED
 #include <algorithm>
-#include <limits>
 #include <utility>
 #include <vector>
 #endif
@@ -29,6 +37,11 @@
 namespace hetsched {
 
 namespace {
+
+// Pre-registered handle (lint rule [metric-handle]), bumped once per run.
+const obs::Counter g_fast_path_total = obs::registry().counter(
+    "hetsched_first_fit_fast_path_total",
+    "batch first-fit placements decided at the finger without a descent");
 
 // Fills scratch.utils and scratch.order.  The order is the exact
 // permutation TaskSet::order_by_utilization_desc produces, so every engine
@@ -61,37 +74,74 @@ void reset_machines(const Platform& platform, AdmissionKind kind, double alpha,
   }
 }
 
-// Runs first fit over the prepared order using the resolved engine
-// (kNaive = linear scan over the slack array, kSegmentTree = tree descent;
-// identical comparisons either way).  Returns the position in s.order of
-// the first task that fits nowhere, or s.order.size() if all fit.  When
-// `assignment` is non-null, assignment[i] receives each placed task's
-// machine.
+// Runs first fit over the prepared order using the resolved engine.
+// Returns the position in s.order of the first task that fits nowhere, or
+// s.order.size() if all fit.  When `assignment` is non-null,
+// assignment[i] receives each placed task's machine.
+//
+// kNaive scans the slack array from machine 0 for every task.  kSegmentTree
+// runs the frontier: `f` is the machine the last task went to and
+// `left_max` the largest slack over machines [0, f).  The slacks of [0, f)
+// are exact and unchanged since the descent that set f, so f is the
+// leftmost machine admitting w iff w > left_max and f admits w.  The fast
+// path tests exactly that with admission_admits, which equals
+// (w <= admission_slack(...)) bit for bit, folds the task into f's state
+// and leaves f's slack stale.  Every other task first makes f's slack and
+// tree leaf exact, then descends as the naive scan would search, so both
+// engines place every task on the same machine.  On return every slack
+// and tree leaf is exact again.
 // HETSCHED_NOALLOC
 std::size_t run_slack_engine(AdmissionKind kind, PartitionEngine resolved,
                              PartitionScratch& s,
                              std::size_t* assignment = nullptr) {
   const std::size_t m = s.slack.size();
-  const bool use_tree = resolved == PartitionEngine::kSegmentTree;
-  if (use_tree) s.tree.build(s.slack);
-  for (std::size_t pos = 0; pos < s.order.size(); ++pos) {
-    const std::size_t i = s.order[pos];
-    const double w = s.utils[i];
-    std::size_t j;
-    if (use_tree) {
-      j = s.tree.find_first_at_least(w);
-      if (j == SlackTree::npos) return pos;
-    } else {
-      j = 0;
+  const std::size_t n = s.order.size();
+  if (resolved == PartitionEngine::kNaive) {
+    for (std::size_t pos = 0; pos < n; ++pos) {
+      const std::size_t i = s.order[pos];
+      const double w = s.utils[i];
+      std::size_t j = 0;
       while (j < m && !(w <= s.slack[j])) ++j;
       if (j == m) return pos;
+      admission_fold_step(kind, w, s.capacity[j], s.util_sum[j], s.hyper[j],
+                          s.count[j], s.slack[j]);
+      if (assignment != nullptr) assignment[i] = j;
     }
-    admission_fold_step(kind, w, s.capacity[j], s.util_sum[j], s.hyper[j],
-                        s.count[j], s.slack[j]);
-    if (use_tree) s.tree.update(j, s.slack[j]);
-    if (assignment != nullptr) assignment[i] = j;
+    return n;
   }
-  return s.order.size();
+  s.tree.build(s.slack);
+  std::size_t f = 0;  // machine 0 is the leftmost, so [0, f) starts empty
+  double left_max = -std::numeric_limits<double>::infinity();
+  bool stale = false;  // f's slack lags its folded state
+  const auto flush = [&] {
+    if (!stale) return;
+    s.slack[f] = admission_slack(kind, s.capacity[f], s.util_sum[f],
+                                 s.count[f], s.hyper[f]);
+    s.tree.update(f, s.slack[f]);
+    stale = false;
+  };
+  std::size_t fast = 0;
+  std::size_t pos = 0;
+  for (; pos < n; ++pos) {
+    const std::size_t i = s.order[pos];
+    const double w = s.utils[i];
+    if (w > left_max && admission_admits(kind, w, s.capacity[f], s.util_sum[f],
+                                         s.count[f], s.hyper[f])) {
+      ++fast;
+    } else {
+      flush();
+      const std::size_t j = s.tree.find_first_at_least(w, left_max);
+      if (j == SlackTree::npos) break;
+      f = j;
+    }
+    admission_fold_state(w, s.capacity[f], s.util_sum[f], s.hyper[f],
+                         s.count[f]);
+    stale = true;
+    if (assignment != nullptr) assignment[i] = f;
+  }
+  flush();
+  HETSCHED_COUNT_ADD(g_fast_path_total, fast);
+  return pos;
 }
 
 // First fit through MachineLoad for kinds without a slack form

@@ -76,6 +76,18 @@ double exact_admission_threshold(double estimate, const Pred& pred) {
   return std::bit_cast<double>(lo);
 }
 
+// The exact threshold of admission_admits for one kind.  The search probes
+// the predicate itself, so the threshold preserves its exact FP semantics;
+// the kind is a template argument so the probe loop carries no dispatch.
+template <AdmissionKind kKind>
+double kind_threshold(double estimate, double capacity, double util_sum,
+                      std::size_t task_count, double hyper_product) {
+  return exact_admission_threshold(estimate, [&](double w) {
+    return admission_admits(kKind, w, capacity, util_sum, task_count,
+                            hyper_product);
+  });
+}
+
 }  // namespace
 
 std::string to_string(AdmissionKind k) {
@@ -100,23 +112,20 @@ bool admission_has_slack_form(AdmissionKind k) {
 
 double admission_slack(AdmissionKind kind, double capacity, double util_sum,
                        std::size_t task_count, double hyper_product) {
-  // Each predicate below is the verbatim comparison MachineLoad::can_admit
-  // performs; the threshold search preserves its exact FP semantics.
+  // Only the starting estimate differs per kind; the threshold is always
+  // that of admission_admits.
   switch (kind) {
     case AdmissionKind::kEdf:
-      return exact_admission_threshold(
-          capacity - util_sum,
-          [&](double w) { return util_sum + w <= capacity; });
-    case AdmissionKind::kRmsLiuLayland: {
-      const double limit = rms_liu_layland_bound(task_count + 1) * capacity;
-      return exact_admission_threshold(
-          limit - util_sum, [&](double w) { return util_sum + w <= limit; });
-    }
+      return kind_threshold<AdmissionKind::kEdf>(
+          capacity - util_sum, capacity, util_sum, task_count, hyper_product);
+    case AdmissionKind::kRmsLiuLayland:
+      return kind_threshold<AdmissionKind::kRmsLiuLayland>(
+          rms_liu_layland_bound(task_count + 1) * capacity - util_sum,
+          capacity, util_sum, task_count, hyper_product);
     case AdmissionKind::kRmsHyperbolic:
-      return exact_admission_threshold(
-          (2.0 / hyper_product - 1.0) * capacity, [&](double w) {
-            return hyper_product * (w / capacity + 1.0) <= 2.0;
-          });
+      return kind_threshold<AdmissionKind::kRmsHyperbolic>(
+          (2.0 / hyper_product - 1.0) * capacity, capacity, util_sum,
+          task_count, hyper_product);
     case AdmissionKind::kRmsResponseTime:
       break;
   }
@@ -134,22 +143,13 @@ MachineLoad::MachineLoad(AdmissionKind kind, const Rational& speed,
 }
 
 bool MachineLoad::can_admit(const Task& t) const {
-  const double w = t.utilization();
-  switch (kind_) {
-    case AdmissionKind::kEdf:
-      return edf_feasible(util_sum_ + w, capacity_);
-    case AdmissionKind::kRmsLiuLayland:
-      return rms_ll_feasible(util_sum_ + w, tasks_.size() + 1, capacity_);
-    case AdmissionKind::kRmsHyperbolic:
-      return hyper_product_ * (w / capacity_ + 1.0) <= 2.0;
-    case AdmissionKind::kRmsResponseTime: {
-      std::vector<Task> with = tasks_;
-      with.push_back(t);
-      return rta_schedulable(with, speed_exact_);
-    }
+  if (kind_ == AdmissionKind::kRmsResponseTime) {
+    std::vector<Task> with = tasks_;
+    with.push_back(t);
+    return rta_schedulable(with, speed_exact_);
   }
-  HETSCHED_CHECK_MSG(false, "unreachable admission kind");
-  return false;
+  return admission_admits(kind_, t.utilization(), capacity_, util_sum_,
+                          tasks_.size(), hyper_product_);
 }
 
 void MachineLoad::admit(const Task& t) {

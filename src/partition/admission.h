@@ -13,6 +13,8 @@
 
 #include "core/platform.h"
 #include "core/task.h"
+#include "core/uniproc.h"
+#include "util/check.h"
 #include "util/rational.h"
 
 namespace hetsched {
@@ -36,6 +38,32 @@ bool is_rms(AdmissionKind k);
 // engine (partition/engine.h) can index; kRmsResponseTime is not one.
 bool admission_has_slack_form(AdmissionKind k);
 
+// The admission predicate of the slack-form kinds: would a machine with
+// this accumulated state (`task_count` tasks summing to `util_sum`, with
+// hyperbolic product `hyper_product`) still pass its test with a task of
+// utilization `w` added?  This is the one place the comparison is written:
+// MachineLoad::can_admit, admission_slack's threshold search and the batch
+// engine's frontier fast path (online/first_fit.cc) all evaluate it, which
+// is what makes (w <= admission_slack(...)) and the predicate agree bit for
+// bit.  Aborts for kRmsResponseTime, which has no closed form.
+// HETSCHED_NOALLOC
+inline bool admission_admits(AdmissionKind kind, double w, double capacity,
+                             double util_sum, std::size_t task_count,
+                             double hyper_product) {
+  switch (kind) {
+    case AdmissionKind::kEdf:
+      return util_sum + w <= capacity;
+    case AdmissionKind::kRmsLiuLayland:
+      return util_sum + w <= rms_liu_layland_bound(task_count + 1) * capacity;
+    case AdmissionKind::kRmsHyperbolic:
+      return hyper_product * (w / capacity + 1.0) <= 2.0;
+    case AdmissionKind::kRmsResponseTime:
+      break;
+  }
+  HETSCHED_CHECK_MSG(false, "admission_admits: kind has no closed-form test");
+  return false;
+}
+
 // The largest task utilization the machine still admits — the EXACT
 // floating-point threshold of can_admit's comparison, i.e. for every double
 // w >= 0, (w <= slack) == can_admit(task of utilization w).  In real
@@ -55,19 +83,30 @@ bool admission_has_slack_form(AdmissionKind k);
 double admission_slack(AdmissionKind kind, double capacity, double util_sum,
                        std::size_t task_count, double hyper_product);
 
-// One step of the slack-form admission fold, mirroring MachineLoad::admit's
-// arithmetic exactly: accumulate a task of utilization `w` into the
-// machine's running state and refresh its slack.  This is THE admission
-// code path shared by the batch scratch engine (online/first_fit.cc) and
-// the stateful controller (online/online_partitioner.h); keeping it in one
-// place is what keeps the two bit-identical.
+// Accumulates a task of utilization `w` into a machine's running state,
+// mirroring MachineLoad::admit's arithmetic exactly.  The slack is left to
+// the caller: admission_fold_step refreshes it at once, the batch engine's
+// frontier fast path (online/first_fit.cc) only when it is next read.
+// HETSCHED_NOALLOC
+inline void admission_fold_state(double w, double capacity, double& util_sum,
+                                 double& hyper_product,
+                                 std::size_t& task_count) {
+  util_sum += w;
+  hyper_product *= w / capacity + 1.0;
+  ++task_count;
+}
+
+// One step of the slack-form admission fold: accumulate a task of
+// utilization `w` into the machine's running state and refresh its slack.
+// This and admission_fold_state are THE admission code path shared by the
+// batch scratch engine (online/first_fit.cc) and the stateful controller
+// (online/online_partitioner.h); keeping it in one place is what keeps the
+// two bit-identical.
 // HETSCHED_NOALLOC
 inline void admission_fold_step(AdmissionKind kind, double w, double capacity,
                                 double& util_sum, double& hyper_product,
                                 std::size_t& task_count, double& slack) {
-  util_sum += w;
-  hyper_product *= w / capacity + 1.0;
-  ++task_count;
+  admission_fold_state(w, capacity, util_sum, hyper_product, task_count);
   slack = admission_slack(kind, capacity, util_sum, task_count, hyper_product);
 }
 

@@ -55,8 +55,8 @@ struct PartitionResult {
 // scratch engine, so only the result allocates once warm.  The result is
 // bit-identical to admitting the tasks in canonical order into a fresh
 // OnlinePartitioner (online/online_partitioner.h): both decide through
-// admission_fold_step and SlackTree, and tests/online_equivalence_test.cpp
-// pins the identity.
+// the admission primitives of partition/admission.h and SlackTree, and
+// tests/online_equivalence_test.cpp pins the identity.
 PartitionResult first_fit_partition(
     const TaskSet& tasks, const Platform& platform, AdmissionKind kind,
     double alpha, PartitionEngine engine = PartitionEngine::kAuto);

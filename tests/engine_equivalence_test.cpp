@@ -5,6 +5,7 @@
 // the paper's algorithm.
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <vector>
 
 #include "gen/platform_gen.h"
@@ -168,6 +169,93 @@ TEST(EngineEquivalence, MinFeasibleAlphaAgreesAcrossEnginesAndScratch) {
       EXPECT_EQ(*via_naive, *via_tree);
     }
   }
+}
+
+// The tree engine's frontier places a task at the finger (the machine the
+// last task went to) without a descent when no machine left of it can take
+// the task and the finger admits it.  The cases below aim at its branches.
+
+PartitionResult expect_engines_agree(const TaskSet& tasks,
+                                     const Platform& platform,
+                                     AdmissionKind kind, double alpha) {
+  const PartitionResult naive = first_fit_partition(
+      tasks, platform, kind, alpha, PartitionEngine::kNaive);
+  const PartitionResult tree = first_fit_partition(
+      tasks, platform, kind, alpha, PartitionEngine::kSegmentTree);
+  expect_identical(naive, tree);
+  PartitionScratch scratch;
+  EXPECT_EQ(first_fit_accepts(tasks, platform, kind, alpha, scratch,
+                              PartitionEngine::kSegmentTree),
+            naive.feasible);
+  return tree;
+}
+
+TEST(FrontierFastPath, SmallerTaskJumpsLeftOfTheFinger) {
+  // 0.6 -> M0 at the finger; 0.5 misses M0 and descends to M1 (left_max =
+  // M0's 0.4); 0.3 <= left_max must descend back to M0, not stay at M1;
+  // 0.2 then misses M0 (0.9) and goes right again.
+  const TaskSet tasks({{6, 10}, {5, 10}, {3, 10}, {2, 10}});
+  const PartitionResult r = expect_engines_agree(
+      tasks, Platform::identical(2), AdmissionKind::kEdf, 1.0);
+  ASSERT_TRUE(r.feasible);
+  EXPECT_EQ(r.assignment, (std::vector<std::size_t>{0, 1, 0, 1}));
+}
+
+TEST(FrontierFastPath, FingerRejectionAtAnExactFitBoundary) {
+  // Both triples pack a unit machine exactly.  In double arithmetic
+  // 0.44 + 0.40 + 0.16 sums to 1 (the finger admits the third task) but
+  // 0.55 + 0.34 + 0.11 sums to 1 + 2^-52 (the finger rejects it).  A
+  // trailing 0.01 then misses the full finger, or jumps back left to it.
+  // One machine makes every finger rejection a failed run; a second
+  // catches the rejected task.
+  const std::vector<std::vector<Task>> cases = {
+      {{44, 100}, {40, 100}, {16, 100}, {1, 100}},
+      {{55, 100}, {34, 100}, {11, 100}, {1, 100}}};
+  for (const std::vector<Task>& c : cases) {
+    const TaskSet tasks(c);
+    MachineLoad load(AdmissionKind::kEdf, Rational(1), 1.0);
+    load.admit(tasks[0]);
+    load.admit(tasks[1]);
+    const bool exact_fit_admitted = load.can_admit(tasks[2]);
+    EXPECT_EQ(exact_fit_admitted, c[0].exec == 44);
+    for (const std::size_t m : {1u, 2u}) {
+      const PartitionResult r = expect_engines_agree(
+          tasks, Platform::identical(m), AdmissionKind::kEdf, 1.0);
+      if (m == 1) {
+        EXPECT_EQ(r.failed_task,
+                  std::optional<std::size_t>(exact_fit_admitted ? 3 : 2));
+      } else if (exact_fit_admitted) {
+        EXPECT_EQ(r.assignment, (std::vector<std::size_t>{0, 0, 0, 1}));
+      } else {
+        EXPECT_EQ(r.assignment, (std::vector<std::size_t>{0, 0, 1, 0}));
+      }
+    }
+  }
+}
+
+TEST(FrontierFastPath, LongRunsBitIdenticalForEveryBoundKind) {
+  // Hundreds to thousands of tasks on a few machines, so most placements
+  // take the fast path.  RMS-LL's bound shrinks as the finger's count
+  // grows, and RMS-HB's test is a product, not a sum.
+  const AdmissionKind kinds[] = {AdmissionKind::kEdf,
+                                 AdmissionKind::kRmsLiuLayland,
+                                 AdmissionKind::kRmsHyperbolic};
+  Rng rng(0xF1A6);
+  int rejects = 0;
+  for (int iter = 0; iter < 60; ++iter) {
+    const Platform platform = random_platform(rng);
+    TasksetSpec spec;
+    spec.n = static_cast<std::size_t>(rng.uniform_int(100, 3000));
+    spec.max_task_utilization = platform.max_speed();
+    spec.total_utilization = rng.uniform(0.5, 1.1) * platform.total_speed();
+    spec.periods = PeriodSpec::log_uniform(10, 1000);
+    const TaskSet tasks = generate_taskset(rng, spec);
+    const PartitionResult r = expect_engines_agree(
+        tasks, platform, kinds[iter % 3], iter % 2 == 0 ? 1.0 : 1.5);
+    if (!r.feasible) ++rejects;
+  }
+  EXPECT_GT(rejects, 5);
+  EXPECT_LT(rejects, 55);
 }
 
 }  // namespace

@@ -1,13 +1,20 @@
 // Unit tests for the partition engine plumbing (partition/engine.h):
-// SlackTree structure, engine name parsing, and kAuto resolution.
+// SlackTree structure, the batch frontier's scratch state and counted
+// work, engine name parsing, and kAuto resolution.
 #include "partition/engine.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <limits>
 #include <span>
 #include <vector>
 
+#include "gen/platform_gen.h"
+#include "gen/taskset_gen.h"
+#include "obs/metrics.h"
+#include "partition/audit.h"
 #include "partition/first_fit.h"
 #include "util/rng.h"
 
@@ -119,6 +126,108 @@ TEST(SlackTree, RebuildReusesStorage) {
   EXPECT_EQ(tree.size(), 2u);
   EXPECT_EQ(tree.find_first_at_least(0.5), 1u);
   EXPECT_EQ(tree.find_first_at_least(0.8), SlackTree::npos);
+}
+
+TEST(SlackTree, LeftMaxIsTheLargestSlackLeftOfTheAnswer) {
+  Rng rng(0x1EF7);
+  for (int iter = 0; iter < 200; ++iter) {
+    const auto m = static_cast<std::size_t>(rng.uniform_int(1, 40));
+    std::vector<double> slack(m);
+    for (double& x : slack) {
+      x = static_cast<double>(rng.uniform_int(-2, 16)) / 8.0;
+    }
+    SlackTree tree;
+    tree.build(slack);
+    const double w = static_cast<double>(rng.uniform_int(-1, 17)) / 8.0;
+    double left_max = 42.0;
+    const std::size_t j = tree.find_first_at_least(w, left_max);
+    EXPECT_EQ(j, tree.find_first_at_least(w));
+    if (j == SlackTree::npos) {
+      EXPECT_EQ(left_max, 42.0);  // untouched on a miss
+      continue;
+    }
+    double expect = -std::numeric_limits<double>::infinity();
+    for (std::size_t k = 0; k < j; ++k) expect = std::max(expect, slack[k]);
+    EXPECT_EQ(left_max, expect) << "m=" << m << " w=" << w << " j=" << j;
+  }
+}
+
+TEST(FrontierEngine, ScratchSlacksAreExactAfterARun) {
+  // The fast path leaves the finger's slack stale while it folds tasks in;
+  // every run must end with each slack (and its tree leaf) equal to
+  // admission_slack of the machine's folded state, accept or reject.
+  const AdmissionKind kinds[] = {AdmissionKind::kEdf,
+                                 AdmissionKind::kRmsLiuLayland,
+                                 AdmissionKind::kRmsHyperbolic};
+  Rng rng(0x57A1E);
+  PartitionScratch s;
+  int rejects = 0;
+  for (int iter = 0; iter < 90; ++iter) {
+    const Platform platform = geometric_platform(
+        static_cast<std::size_t>(rng.uniform_int(1, 16)), 1.3);
+    TasksetSpec spec;
+    spec.n = static_cast<std::size_t>(rng.uniform_int(1, 600));
+    spec.max_task_utilization = platform.max_speed();
+    spec.total_utilization =
+        std::min(rng.uniform(0.3, 1.2) * platform.total_speed(),
+                 0.5 * static_cast<double>(spec.n) * spec.max_task_utilization);
+    const TaskSet tasks = generate_taskset(rng, spec);
+    const AdmissionKind kind = kinds[iter % 3];
+    if (!first_fit_accepts(tasks, platform, kind, 1.0, s,
+                           PartitionEngine::kSegmentTree)) {
+      ++rejects;
+    }
+    ASSERT_EQ(s.tree.size(), platform.size());
+    for (std::size_t j = 0; j < platform.size(); ++j) {
+      const double exact = admission_slack(kind, s.capacity[j], s.util_sum[j],
+                                           s.count[j], s.hyper[j]);
+      EXPECT_EQ(s.slack[j], exact) << "iter " << iter << " machine " << j;
+      EXPECT_EQ(s.tree.slack_at(j), s.slack[j]) << "iter " << iter;
+    }
+  }
+  EXPECT_GT(rejects, 5);
+}
+
+TEST(FrontierEngine, DescentsStayUnderFivePercentOfPlacements) {
+  // Counted, host-independent work on the n = 16384, m = 128 EDF alpha = 2
+  // instance of bench_perf_partition: the naive scan visits
+  // assignment[i] + 1 machines per placement, the frontier one machine per
+  // fast placement plus one log2(m)-level descent per finger move.
+#if HETSCHED_AUDIT_ENABLED
+  GTEST_SKIP() << "audit oracles descend trees of their own";
+#endif
+  const obs::Counter descents = obs::registry().counter(
+      "hetsched_slacktree_descents_total", "");
+  const obs::Counter fast = obs::registry().counter(
+      "hetsched_first_fit_fast_path_total", "");
+  Rng rng(0xE5 + 16384 * 31 + 128);
+  const Platform platform = geometric_platform(128, 1.0 + 8.0 / 128.0);
+  TasksetSpec spec;
+  spec.n = 16384;
+  spec.max_task_utilization = platform.max_speed();
+  spec.total_utilization =
+      std::min(0.7 * platform.total_speed(),
+               0.3 * static_cast<double>(spec.n) * spec.max_task_utilization);
+  spec.periods = PeriodSpec::log_uniform(10, 1000);
+  const TaskSet tasks = generate_taskset(rng, spec);
+
+  const std::uint64_t d0 = obs::registry().counter_value(descents);
+  const std::uint64_t f0 = obs::registry().counter_value(fast);
+  const PartitionResult r =
+      first_fit_partition(tasks, platform, AdmissionKind::kEdf, 2.0,
+                          PartitionEngine::kSegmentTree);
+  const std::uint64_t d = obs::registry().counter_value(descents) - d0;
+  const std::uint64_t f = obs::registry().counter_value(fast) - f0;
+  ASSERT_TRUE(r.feasible);
+  const std::uint64_t placements = tasks.size();
+  EXPECT_EQ(d + f, placements);
+  EXPECT_LE(20 * d, placements) << d << " descents";
+
+  std::uint64_t naive_visits = 0;
+  for (const std::size_t j : r.assignment) naive_visits += j + 1;
+  const std::uint64_t frontier_visits = f + d * 7;  // log2(128) levels
+  EXPECT_GE(naive_visits, 3 * frontier_visits)
+      << naive_visits << " naive vs " << frontier_visits << " frontier";
 }
 
 TEST(EngineNames, RoundTrip) {

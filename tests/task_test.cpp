@@ -4,6 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
 #include <numeric>
 #include <vector>
 
@@ -132,6 +135,132 @@ TEST(TaskSet, OrderMatchesExactStableSortAcrossRadixThreshold) {
       }
     }
     ASSERT_GE(double_equal_distinct, 2u);
+    const TaskSet ts(std::move(tasks));
+    EXPECT_EQ(ts.order_by_utilization_desc(), reference_order(ts))
+        << "n=" << n;
+  }
+}
+
+// A task whose utilization is exactly the double `u`, u in [2^-10, 1):
+// u = mant * 2^-s with mant < 2^53 and s <= 62, so both operands convert
+// to double exactly and the rational mant/2^s is the double's own value.
+Task task_with_utilization(double u) {
+  int e = 0;
+  const double frac = std::frexp(u, &e);  // u = frac * 2^e, e in [-9, 0]
+  const auto mant = static_cast<std::int64_t>(std::ldexp(frac, 53));
+  return Task{mant, std::int64_t{1} << (53 - e)};
+}
+
+// `u` with its low `bits` bits replaced by `low`: a sibling that shares
+// every higher bit of the double.
+double with_low_bits(double u, unsigned bits, std::uint64_t low) {
+  const std::uint64_t mask = (std::uint64_t{1} << bits) - 1;
+  return std::bit_cast<double>((std::bit_cast<std::uint64_t>(u) & ~mask) |
+                               (low & mask));
+}
+
+TEST(TaskSet, OrderOfUtilizationsTiedOnTheTruncatedKeyInShortRuns) {
+  // The radix path sorts only the 32 bits below the keys' common prefix.
+  // Scatter groups of 1-4 tasks that share all but the low 30 bits of the
+  // utilization (so they tie on those 32 bits), with exact duplicates, over
+  // a utilization range wide enough that the prefix is short.
+  for (const std::size_t n : {128u, 129u, 16384u}) {
+    Rng rng(0x7A11 + n);
+    std::vector<Task> tasks;
+    while (tasks.size() < n) {
+      const double u = rng.log_uniform(0x1p-10, 0.99);
+      const auto group = static_cast<std::size_t>(rng.uniform_int(1, 4));
+      for (std::size_t g = 0; g < group && tasks.size() < n; ++g) {
+        const auto low =
+            static_cast<std::uint64_t>(rng.uniform_int(0, 1 << 30));
+        tasks.push_back(task_with_utilization(with_low_bits(u, 30, low)));
+        if (rng.uniform_int(0, 5) == 0 && tasks.size() < n) {
+          tasks.push_back(tasks.back());
+        }
+      }
+    }
+    const TaskSet ts(std::move(tasks));
+    EXPECT_EQ(ts.order_by_utilization_desc(), reference_order(ts))
+        << "n=" << n;
+  }
+}
+
+// One run of tasks that, beside outliers, tie on every bit the radix passes
+// sort: all share the top 40 bits of 1/3's double, and mix distinct
+// doubles, exact duplicates, and rationals that round to the same double as
+// 1/3 (k/3k, k/(3k+1) and the double 1/3 itself).
+std::vector<Task> long_tied_run(Rng& rng, std::size_t n) {
+  std::vector<Task> tasks;
+  while (tasks.size() < n) {
+    switch (rng.uniform_int(0, 9)) {
+      case 0: {
+        const std::int64_t k = rng.uniform_int(1, 1000);
+        tasks.push_back({k, 3 * k});
+        break;
+      }
+      case 1: {
+        const std::int64_t k =
+            rng.uniform_int(2'500'000'000'000'000, 2'950'000'000'000'000);
+        tasks.push_back({k, 3 * k + 1});
+        break;
+      }
+      case 2:
+        tasks.push_back(task_with_utilization(1.0 / 3.0));
+        break;
+      case 3:
+        if (!tasks.empty()) {
+          tasks.push_back(tasks[static_cast<std::size_t>(rng.uniform_int(
+              0, static_cast<std::int64_t>(tasks.size()) - 1))]);
+        }
+        break;
+      default: {
+        const auto low =
+            static_cast<std::uint64_t>(rng.uniform_int(0, 1 << 24));
+        tasks.push_back(
+            task_with_utilization(with_low_bits(1.0 / 3.0, 24, low)));
+        break;
+      }
+    }
+  }
+  return tasks;
+}
+
+TEST(TaskSet, OrderOfOneLongRunTiedOnTheTruncatedKey) {
+  for (const std::size_t n : {128u, 129u, 16384u}) {
+    Rng rng(0x10C6 + n);
+    // All n tasks in the run: the common prefix is long, so the radix
+    // passes alone sort every distinct double.
+    const TaskSet all(long_tied_run(rng, n));
+    EXPECT_EQ(all.order_by_utilization_desc(), reference_order(all))
+        << "n=" << n;
+    // Two outliers at 1 and 1e-12 shorten the prefix: the other n - 2
+    // tie on the top 32 bits below it, and only the run repair's sort on
+    // the full key, then the exact comparison, can order them.
+    std::vector<Task> tasks = long_tied_run(rng, n - 2);
+    tasks.insert(tasks.begin() + static_cast<std::ptrdiff_t>(n / 2),
+                 Task{1, 1'000'000'000'000});
+    tasks.push_back(Task{7, 7});
+    const TaskSet spread(std::move(tasks));
+    EXPECT_EQ(spread.order_by_utilization_desc(), reference_order(spread))
+        << "n=" << n;
+  }
+}
+
+TEST(TaskSet, OrderOfUtilizationsFromOneTrillionthToOne) {
+  // Utilizations log-uniform over ~1e-12..1: the keys' common prefix is
+  // only a few bits, so the 32 sorted bits are mostly exponent.
+  for (const std::size_t n : {128u, 129u, 16384u}) {
+    Rng rng(0x1E12 + n);
+    std::vector<Task> tasks;
+    while (tasks.size() < n) {
+      constexpr std::int64_t kPeriod = 10'000'000'000'000;
+      const double u = rng.log_uniform(1e-12, 1.0);
+      const auto exec = std::max<std::int64_t>(
+          1, std::llround(u * static_cast<double>(kPeriod)));
+      tasks.push_back({std::min(exec, kPeriod), kPeriod});
+      if (rng.uniform_int(0, 7) == 0) tasks.push_back({1, 3});
+    }
+    tasks.resize(n);
     const TaskSet ts(std::move(tasks));
     EXPECT_EQ(ts.order_by_utilization_desc(), reference_order(ts))
         << "n=" << n;
