@@ -10,7 +10,6 @@
 #include <string>
 #include <vector>
 
-#include "util/stats.h"
 #include "util/table.h"
 
 namespace hetsched::bench {
@@ -33,25 +32,6 @@ inline void emit(const Table& table, const std::string& id,
   if (table.write_csv(path)) {
     std::printf("[csv: %s]\n", path.c_str());
   }
-}
-
-// Times fn() `reps` times (after one untimed warm-up rep) and reduces the
-// per-rep wall times through stats::summarize, so every bench reports the
-// same percentile definitions (linear interpolation between order
-// statistics) as the stats exposition in src/obs.
-template <typename Fn>
-Summary time_summary_ns(Fn&& fn, int reps) {
-  fn();  // warm-up: faults in pages, warms caches and scratch buffers
-  std::vector<double> samples;
-  samples.reserve(static_cast<std::size_t>(reps));
-  for (int r = 0; r < reps; ++r) {
-    const auto t0 = std::chrono::steady_clock::now();
-    fn();
-    const auto t1 = std::chrono::steady_clock::now();
-    samples.push_back(
-        std::chrono::duration<double, std::nano>(t1 - t0).count());
-  }
-  return summarize(samples);
 }
 
 class WallTimer {

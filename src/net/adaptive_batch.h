@@ -9,7 +9,7 @@
 //     extra syscalls are free because the loop was about to sleep anyway.
 //   * saturation: a large budget coalesces a full run of responses into
 //     one writev, cutting the syscall count per frame by the batch size —
-//     exactly the overhead BENCH_net.json shows dominating served p50.
+//     the per-frame syscall cost that dominates served p50 under load.
 //
 // AdaptiveBatch walks the budget between ServerOptions::batch_min and
 // ::batch with two rules applied after every drain round:

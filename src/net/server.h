@@ -36,8 +36,8 @@
 // The decision stream per shard is still processed single-threaded (by
 // the owning loop) in arrival order, so served decisions remain
 // bit-identical to `hetsched_cli replay` of the same trace
-// (tests/net_test.cpp and bench_net_loadgen prove it with FNV-1a
-// checksums in both single- and multi-loop modes).
+// (tests/net_test.cpp proves it with FNV-1a checksums in both single- and
+// multi-loop modes, and under load with the WAL on).
 //
 // Ordering: per connection and shard, responses preserve request order
 // (inline frames and queued frames cannot reorder: a frame is queued

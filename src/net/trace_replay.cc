@@ -4,7 +4,8 @@
 
 #include <bit>
 #include <cerrno>
-#include <chrono>
+#include <deque>
+#include <vector>
 
 #include "online/online_partitioner.h"
 #include "util/check.h"
@@ -12,13 +13,6 @@
 namespace hetsched::net {
 
 namespace {
-
-std::uint64_t steady_ns() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
 
 // Generated traces number tasks densely from 0, but hand-written parsed
 // traces may skip numbers — size the per-task table by the largest one.
@@ -64,20 +58,68 @@ std::uint64_t offline_decision_checksum(const Platform& platform,
   return h;
 }
 
-PipelinedReplay::PipelinedReplay(const ChurnTrace& trace, std::uint16_t shard,
-                                 std::size_t window, bool collect_latency)
-    : trace_(trace), shard_(shard), window_(window),
-      collect_latency_(collect_latency), tasks_(task_slot_count(trace)) {
-  HETSCHED_CHECK(window >= 1);
-  if (collect_latency) sum_.latencies_ns.reserve(trace.events.size());
-}
+namespace {
+
+// Resumable, non-blocking replay of one trace over one connection.
+//
+// Per step(): submit due trace events while the pipeline window has room
+// (departures wait until their arrival's response assigned a server-side
+// id), try_flush the queued frames, and drain every response the socket
+// already holds.  step() never blocks; while it returns true, poll the
+// client's fd for POLLIN when want_read() and POLLOUT when want_write(),
+// then step again.
+class PipelinedReplay {
+ public:
+  // The trace must outlive the replay.
+  PipelinedReplay(const ChurnTrace& trace, std::uint16_t shard,
+                  std::size_t window)
+      : trace_(trace), shard_(shard), window_(window),
+        tasks_(task_slot_count(trace)) {
+    HETSCHED_CHECK(window >= 1);
+  }
+
+  // Advances as far as the socket allows right now; false once the trace
+  // is fully replayed (summary().ok) or the transport failed.
+  bool step(Client& client);
+
+  bool want_read() const { return !pending_.empty(); }
+  bool want_write() const { return unflushed_; }
+  const ReplaySummary& summary() const { return sum_; }
+
+ private:
+  // Per-arrival outcome as the driver learns it from responses.
+  enum class Outcome : std::uint8_t {
+    kPending,  // admit request sent, response not yet seen
+    kAdmitted,
+    kLost,  // rejected, retried, or errored — no server-side id exists
+  };
+  struct TaskState {
+    Outcome outcome = Outcome::kPending;
+    std::uint64_t server_id = 0;
+  };
+  struct Pending {
+    bool arrival = true;
+    std::uint64_t task = 0;  // trace-local task number
+  };
+
+  bool resolve(const Response& resp);  // false on a protocol violation
+
+  const ChurnTrace& trace_;
+  std::uint16_t shard_;
+  std::size_t window_;
+  bool unflushed_ = false;
+  std::size_t next_event_ = 0;
+  std::uint64_t next_request_id_ = 0;
+  ReplaySummary sum_;
+  std::vector<TaskState> tasks_;
+  std::deque<Pending> pending_;
+};
 
 // Folds the response for the pending-request FIFO head into the summary.
 bool PipelinedReplay::resolve(const Response& resp) {
   if (pending_.empty()) return false;  // a response nothing asked for
   const Pending p = pending_.front();
   pending_.pop_front();
-  if (p.send_ns != 0) sum_.latencies_ns.push_back(steady_ns() - p.send_ns);
   if (resp.status == Status::kRetryLater) {
     ++sum_.retried;
     if (p.arrival) tasks_[p.task].outcome = Outcome::kLost;
@@ -116,8 +158,7 @@ bool PipelinedReplay::resolve(const Response& resp) {
   return true;
 }
 
-PipelinedReplay::State PipelinedReplay::step(Client& client) {
-  if (state_ != State::kRunning) return state_;
+bool PipelinedReplay::step(Client& client) {
   bool progressed = true;
   while (progressed) {
     progressed = false;
@@ -138,8 +179,7 @@ PipelinedReplay::State PipelinedReplay::step(Client& client) {
         client.queue_request(Request::admit(shard_, next_request_id_++,
                                             ev.params.exec, ev.params.period,
                                             ev.params.deadline));
-        pending_.push_back(Pending{true, ev.task,
-                                   collect_latency_ ? steady_ns() : 0});
+        pending_.push_back(Pending{true, ev.task});
       } else {
         TaskState& st = tasks_[ev.task];
         if (st.outcome == Outcome::kPending) break;
@@ -147,11 +187,9 @@ PipelinedReplay::State PipelinedReplay::step(Client& client) {
         if (st.outcome != Outcome::kAdmitted) continue;  // nothing to depart
         client.queue_request(
             Request::depart(shard_, next_request_id_++, st.server_id));
-        pending_.push_back(Pending{false, ev.task,
-                                   collect_latency_ ? steady_ns() : 0});
+        pending_.push_back(Pending{false, ev.task});
         st.outcome = Outcome::kLost;  // at most one depart per task
         ++sum_.requests;
-        ++progress_;
         ++submitted;
         unflushed_ = true;
         progressed = true;
@@ -159,44 +197,36 @@ PipelinedReplay::State PipelinedReplay::step(Client& client) {
       }
       ++next_event_;
       ++sum_.requests;
-      ++progress_;
       ++submitted;
       unflushed_ = true;
       progressed = true;
     }
     // Push queued frames as far as the socket accepts right now.
     if (unflushed_) {
-      if (!client.try_flush()) {
-        state_ = State::kError;
-        return state_;
-      }
+      if (!client.try_flush()) return false;
       unflushed_ = client.pending_bytes() > 0;
     }
     // Drain every response already buffered or readable.
     while (!pending_.empty()) {
       Response resp;
       const int r = client.try_recv_response(&resp);
-      if (r < 0 || (r > 0 && !resolve(resp))) {
-        state_ = State::kError;
-        return state_;
-      }
+      if (r < 0 || (r > 0 && !resolve(resp))) return false;
       if (r == 0) break;
-      ++progress_;
       progressed = true;
     }
   }
-  if (next_event_ >= trace_.events.size() && pending_.empty() && !unflushed_) {
-    sum_.ok = true;
-    state_ = State::kDone;
-  }
-  return state_;
+  sum_.ok =
+      next_event_ >= trace_.events.size() && pending_.empty() && !unflushed_;
+  return !sum_.ok;
 }
+
+}  // namespace
 
 ReplaySummary replay_trace_over_client(Client& client, const ChurnTrace& trace,
                                        std::uint16_t shard, std::size_t window,
-                                       int timeout_ms, bool collect_latency) {
-  PipelinedReplay rp(trace, shard, window, collect_latency);
-  while (rp.step(client) == PipelinedReplay::State::kRunning) {
+                                       int timeout_ms) {
+  PipelinedReplay rp(trace, shard, window);
+  while (rp.step(client)) {
     pollfd p{client.fd(), 0, 0};
     if (rp.want_read()) p.events |= POLLIN;
     if (rp.want_write()) p.events |= POLLOUT;

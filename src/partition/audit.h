@@ -18,8 +18,8 @@
 //
 // Everything here compiles to nothing unless HETSCHED_AUDIT is defined:
 // call sites are wrapped in HETSCHED_AUDIT_HOOK(...), which expands to an
-// empty statement in normal builds, so Release binaries are unchanged
-// (bench_perf_partition confirms zero overhead).
+// empty statement in normal builds, so Release binaries contain no audit
+// code and pay no overhead for it.
 //
 // Reentrancy: the oracles are themselves the audited code paths — e.g. the
 // scratch accept path cross-checks against an OnlinePartitioner replay,

@@ -39,6 +39,7 @@
 #include "net/trace_replay.h"
 #include "online/online_partitioner.h"
 #include "sim/event_sim.h"
+#include "temp_dir.h"
 #include "util/rng.h"
 
 namespace hetsched::net {
@@ -46,20 +47,6 @@ namespace {
 
 using admit::AdmitConfig;
 using admit::TestKind;
-
-class TempDir {
- public:
-  explicit TempDir(const std::string& tag)
-      : path_(tag + "-" + std::to_string(::getpid())) {
-    std::filesystem::remove_all(path_);
-    EXPECT_TRUE(io::ensure_dir(path_));
-  }
-  ~TempDir() { std::filesystem::remove_all(path_); }
-  const std::string& path() const { return path_; }
-
- private:
-  std::string path_;
-};
 
 std::string loopback_addr(const Server& server) {
   return "127.0.0.1:" + std::to_string(server.port());

@@ -8,6 +8,7 @@
 #include <optional>
 #include <vector>
 
+#include "e5_workload.h"
 #include "gen/platform_gen.h"
 #include "gen/taskset_gen.h"
 #include "partition/first_fit.h"
@@ -236,7 +237,9 @@ TEST(FrontierFastPath, FingerRejectionAtAnExactFitBoundary) {
 TEST(FrontierFastPath, LongRunsBitIdenticalForEveryBoundKind) {
   // Hundreds to thousands of tasks on a few machines, so most placements
   // take the fast path.  RMS-LL's bound shrinks as the finger's count
-  // grows, and RMS-HB's test is a product, not a sum.
+  // grows, and RMS-HB's test is a product, not a sum.  The fixed cells
+  // then run the engines on bench_e5_runtime's instances at offline
+  // scale, up to n = 16384 on m = 512.
   const AdmissionKind kinds[] = {AdmissionKind::kEdf,
                                  AdmissionKind::kRmsLiuLayland,
                                  AdmissionKind::kRmsHyperbolic};
@@ -256,6 +259,26 @@ TEST(FrontierFastPath, LongRunsBitIdenticalForEveryBoundKind) {
   }
   EXPECT_GT(rejects, 5);
   EXPECT_LT(rejects, 55);
+
+  struct Cell {
+    std::size_t n, m;
+    AdmissionKind kind;
+    double alpha;
+  };
+  const Cell cells[] = {
+      {16384, 128, AdmissionKind::kEdf, 2.0},
+      {16384, 512, AdmissionKind::kEdf, 2.0},
+      {16384, 128, AdmissionKind::kRmsLiuLayland, 2.41},
+      {16384, 128, AdmissionKind::kRmsHyperbolic, 2.41},
+      {4096, 64, AdmissionKind::kEdf, 2.0},
+      {1024, 32, AdmissionKind::kEdf, 2.0},
+  };
+  for (const Cell& c : cells) {
+    SCOPED_TRACE(testing::Message() << "n=" << c.n << " m=" << c.m << " "
+                                    << to_string(c.kind));
+    const E5Workload w = make_e5_workload(c.n, c.m);
+    expect_engines_agree(w.tasks, w.platform, c.kind, c.alpha);
+  }
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 #include <span>
 #include <vector>
 
+#include "e5_workload.h"
 #include "gen/platform_gen.h"
 #include "gen/taskset_gen.h"
 #include "obs/metrics.h"
@@ -189,8 +190,9 @@ TEST(FrontierEngine, ScratchSlacksAreExactAfterARun) {
 }
 
 TEST(FrontierEngine, DescentsStayUnderFivePercentOfPlacements) {
-  // Counted, host-independent work on the n = 16384, m = 128 EDF alpha = 2
-  // instance of bench_perf_partition: the naive scan visits
+  // Counted, host-independent work on an offline-scale instance: n = 16384
+  // tasks at U/S = 0.7 on a 128-machine geometric platform, EDF at
+  // alpha = 2 (make_e5_workload).  The naive scan visits
   // assignment[i] + 1 machines per placement, the frontier one machine per
   // fast placement plus one log2(m)-level descent per finger move.
 #if HETSCHED_AUDIT_ENABLED
@@ -200,16 +202,9 @@ TEST(FrontierEngine, DescentsStayUnderFivePercentOfPlacements) {
       "hetsched_slacktree_descents_total", "");
   const obs::Counter fast = obs::registry().counter(
       "hetsched_first_fit_fast_path_total", "");
-  Rng rng(0xE5 + 16384 * 31 + 128);
-  const Platform platform = geometric_platform(128, 1.0 + 8.0 / 128.0);
-  TasksetSpec spec;
-  spec.n = 16384;
-  spec.max_task_utilization = platform.max_speed();
-  spec.total_utilization =
-      std::min(0.7 * platform.total_speed(),
-               0.3 * static_cast<double>(spec.n) * spec.max_task_utilization);
-  spec.periods = PeriodSpec::log_uniform(10, 1000);
-  const TaskSet tasks = generate_taskset(rng, spec);
+  const E5Workload w = make_e5_workload(16384, 128);
+  const TaskSet& tasks = w.tasks;
+  const Platform& platform = w.platform;
 
   const std::uint64_t d0 = obs::registry().counter_value(descents);
   const std::uint64_t f0 = obs::registry().counter_value(fast);

@@ -12,12 +12,14 @@
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "gen/churn_gen.h"
 #include "gen/platform_gen.h"
+#include "io/wal.h"
 #include "net/addr.h"
 #include "net/adaptive_batch.h"
 #include "net/bounded_queue.h"
@@ -25,6 +27,7 @@
 #include "net/protocol.h"
 #include "net/server.h"
 #include "net/trace_replay.h"
+#include "temp_dir.h"
 #include "util/rng.h"
 
 namespace hetsched::net {
@@ -757,6 +760,84 @@ TEST(NetLoopback, MultiLoopServeMatchesOfflineChecksums) {
   }
   const ServerStats s = server.stats();
   EXPECT_EQ(s.frames_inline + s.enqueued, s.frames_rx);
+}
+
+// Parity under load: two parity shards, each fed by exactly one
+// connection, share two event loops with two load shards that 16 further
+// connections saturate (shard s is owned by loop s % 2).  A shard fed by
+// one connection sees one deterministic request order however the sockets
+// interleave, so its served checksum must equal the offline replay's; the
+// load shards' decisions depend on the interleaving, so their replays only
+// have to complete.  Served without a WAL, with one that never syncs, and
+// with the pacer's batched fsync.
+TEST(NetLoopback, ParityTenantsMatchOfflineUnderLoadInEveryWalMode) {
+  constexpr std::size_t kLoadShards = 2;
+  constexpr std::size_t kParityShards = 2;
+  constexpr std::size_t kLoadConns = 16;
+  constexpr std::size_t kWindow = 256;
+  const Platform pf = geometric_platform(8, 1.5);
+
+  // Connection c < kParityShards is the only driver of parity shard
+  // kLoadShards + c; the rest spread round-robin over the load shards.
+  constexpr std::size_t kConns = kParityShards + kLoadConns;
+  std::vector<ChurnTrace> traces(kConns);
+  std::vector<std::uint16_t> shard(kConns);
+  for (std::size_t c = 0; c < kConns; ++c) {
+    const bool parity = c < kParityShards;
+    traces[c] = make_trace(0x7A417 + c, parity ? 2000 : 500);
+    shard[c] = static_cast<std::uint16_t>(
+        parity ? kLoadShards + c : (c - kParityShards) % kLoadShards);
+  }
+
+  using io::WalSync;
+  const std::optional<WalSync> modes[] = {{}, WalSync::kOff, WalSync::kBatch};
+  for (const std::optional<WalSync> wal : modes) {
+    SCOPED_TRACE(wal ? io::to_string(*wal) : "no WAL");
+    TempDir dir("nettest-parity-wal");
+    ServerOptions opts;
+    opts.shards = kLoadShards + kParityShards;
+    opts.loops = 2;
+    opts.alpha = 2.0;
+    // Twice the window: a parity connection can never meet a full queue,
+    // so it sees no kRetryLater and its checksum stays comparable.
+    opts.queue_depth = 2 * kWindow;
+    if (wal) {
+      opts.wal_dir = dir.path();
+      opts.wal_sync = *wal;
+    }
+    Server server(pf, opts);
+    std::string err;
+    ASSERT_TRUE(server.start(&err)) << err;
+    ASSERT_EQ(server.loop_count(), 2u);
+
+    std::vector<ReplaySummary> sums(kConns);
+    std::vector<std::string> errs(kConns);
+    std::vector<std::thread> workers;
+    for (std::size_t c = 0; c < kConns; ++c) {
+      workers.emplace_back([&, c] {
+        Client client;
+        if (!client.connect(loopback_addr(server), 2000, &errs[c])) return;
+        sums[c] = replay_trace_over_client(client, traces[c], shard[c], kWindow,
+                                           10000);
+        if (!sums[c].ok) errs[c] = client.last_error();
+      });
+    }
+    for (std::thread& t : workers) t.join();
+
+    for (std::size_t c = 0; c < kConns; ++c) {
+      ASSERT_TRUE(sums[c].ok) << "connection " << c << ": " << errs[c];
+      EXPECT_EQ(sums[c].bad, 0u) << "connection " << c;
+    }
+    for (std::size_t c = 0; c < kParityShards; ++c) {
+      ASSERT_EQ(sums[c].retried, 0u) << "parity shard " << shard[c];
+      EXPECT_EQ(sums[c].checksum,
+                offline_decision_checksum(pf, traces[c], opts.kind, opts.alpha,
+                                          opts.engine))
+          << "parity shard " << shard[c];
+    }
+    server.request_stop();
+    server.wait();
+  }
 }
 
 // Partial-write regression: a tiny server-side SO_SNDBUF plus a client
