@@ -1,4 +1,4 @@
-// Shared surface between the four fuzz harnesses and whichever driver
+// Shared surface between the fuzz harnesses and whichever driver
 // runs them.  Each harness defines the libFuzzer entry point
 // LLVMFuzzerTestOneInput; the driver is either real libFuzzer (clang,
 // -fsanitize=fuzzer, detected at configure time) or the standalone

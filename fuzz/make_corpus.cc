@@ -17,6 +17,10 @@
 //                     OnlinePartitioner::serialize_snapshot() image
 //   corpus/trace/     churn traces in the text grammar, validated by
 //                     parse_trace_string before they are written
+//   corpus/instance/  task-system instances in the text grammar (exact
+//                     rational and decimal speeds, CRLF ends, tab and
+//                     glued-comment lexing, a task-free platform),
+//                     validated by parse_instance_string
 //
 // Usage: make_corpus [corpus-root]   (default: fuzz/corpus)
 // The output is deterministic, so regenerating after an encoder change
@@ -32,6 +36,7 @@
 #include "core/platform.h"
 #include "core/task.h"
 #include "io/snapshot_format.h"
+#include "io/text_format.h"
 #include "io/trace_format.h"
 #include "io/wal.h"
 #include "net/protocol.h"
@@ -290,11 +295,41 @@ void write_traces(const fs::path& dir) {
       "depart 2 0\n");
 }
 
+void write_instances(const fs::path& dir) {
+  const auto one = [&](const char* name, const std::string& text) {
+    const auto parsed = hetsched::parse_instance_string(text);
+    if (!parsed.ok()) {
+      std::fprintf(stderr, "make_corpus: seed instance %s does not parse\n",
+                   name);
+      ++g_failures;
+      return;
+    }
+    write_file(dir / name, text.data(), text.size());
+  };
+  one("basic.inst",
+      "# big.LITTLE with one fast core\n"
+      "platform 1 1 2.5\n"
+      "task 2 10\n"
+      "task 9 10\n");
+  one("rational.inst",
+      "platform 3/2 1 7/4 .25\n"
+      "task 1 4\n"
+      "task 3 8\n"
+      "task 1 2\n");
+  one("no_tasks.inst", "platform 1\n");
+  one("lexing.inst",
+      "\tplatform\v2\f1/3\r\n"
+      "\r\n"
+      "task 5 7#glued comment\r\n"
+      "  # indented comment\n"
+      "task\t1\t1000000");
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   const fs::path root = argc > 1 ? argv[1] : "fuzz/corpus";
-  for (const char* sub : {"frame", "wal", "snapshot", "trace"}) {
+  for (const char* sub : {"frame", "wal", "snapshot", "trace", "instance"}) {
     std::error_code ec;
     fs::create_directories(root / sub, ec);
     if (ec) {
@@ -308,6 +343,7 @@ int main(int argc, char** argv) {
   write_wals(root / "wal");
   write_snapshots(root / "snapshot");
   write_traces(root / "trace");
+  write_instances(root / "instance");
   if (g_failures != 0) {
     std::fprintf(stderr, "make_corpus: %d failure(s)\n", g_failures);
     return 1;

@@ -1,11 +1,13 @@
 #include "io/text_format.h"
 
-#include <cctype>
 #include <charconv>
 #include <cmath>
 #include <fstream>
+#include <span>
 #include <sstream>
 #include <vector>
+
+#include "io/line_scanner.h"
 
 namespace hetsched {
 
@@ -13,20 +15,7 @@ std::string ParseError::to_string() const {
   return "line " + std::to_string(line) + ": " + message;
 }
 
-namespace {
-
-// Splits on whitespace.
-std::vector<std::string> tokenize(const std::string& line) {
-  std::vector<std::string> tokens;
-  std::istringstream is(line);
-  std::string tok;
-  while (is >> tok) tokens.push_back(tok);
-  return tokens;
-}
-
-}  // namespace
-
-std::optional<std::int64_t> parse_int_token(const std::string& tok) {
+std::optional<std::int64_t> parse_int_token(std::string_view tok) {
   std::int64_t v = 0;
   const auto [ptr, ec] =
       std::from_chars(tok.data(), tok.data() + tok.size(), v);
@@ -34,7 +23,7 @@ std::optional<std::int64_t> parse_int_token(const std::string& tok) {
   return v;
 }
 
-std::optional<double> parse_double_token(const std::string& tok) {
+std::optional<double> parse_double_token(std::string_view tok) {
   double v = 0;
   const auto [ptr, ec] =
       std::from_chars(tok.data(), tok.data() + tok.size(), v);
@@ -47,19 +36,19 @@ std::optional<double> parse_double_token(const std::string& tok) {
 }
 
 // Accepts "3", "3/2", or a decimal like "2.5".
-std::optional<Rational> parse_speed_token(const std::string& tok) {
+std::optional<Rational> parse_speed_token(std::string_view tok) {
   const auto slash = tok.find('/');
-  if (slash != std::string::npos) {
+  if (slash != std::string_view::npos) {
     const auto num = parse_int_token(tok.substr(0, slash));
     const auto den = parse_int_token(tok.substr(slash + 1));
     if (!num || !den || *den == 0) return std::nullopt;
     return Rational(*num, *den);
   }
-  if (tok.find('.') != std::string::npos) {
+  const auto point = tok.find('.');
+  if (point != std::string_view::npos) {
     // Decimal: parse digits around the point to keep the value exact.
-    const auto point = tok.find('.');
-    const std::string whole_s = tok.substr(0, point);
-    const std::string frac_s = tok.substr(point + 1);
+    const std::string_view whole_s = tok.substr(0, point);
+    const std::string_view frac_s = tok.substr(point + 1);
     if (frac_s.empty() || frac_s.size() > 12) return std::nullopt;
     const auto whole = parse_int_token(whole_s.empty() ? "0" : whole_s);
     const auto frac = parse_int_token(frac_s);
@@ -73,38 +62,30 @@ std::optional<Rational> parse_speed_token(const std::string& tok) {
   return Rational(*v);
 }
 
-ParseResult<Instance> parse_instance(std::istream& in) {
+namespace {
+
+constexpr std::size_t kShortestTaskLine = 9;  // "task 1 1\n"
+
+}  // namespace
+
+ParseResult<Instance> parse_instance_string(std::string_view text) {
   ParseResult<Instance> result;
   std::vector<Task> tasks;
+  tasks.reserve(directive_line_bound(text, kShortestTaskLine));
   std::optional<Platform> platform;
 
-  std::string line;
-  std::size_t lineno = 0;
+  LineScanner scan(text);
   auto fail = [&](std::string msg) {
-    result.error = ParseError{lineno, std::move(msg)};
+    result.error = ParseError{scan.line(), std::move(msg)};
     return result;
   };
 
-  while (std::getline(in, line)) {
-    ++lineno;
-    const auto hash = line.find('#');
-    if (hash != std::string::npos) line.resize(hash);
-    const std::vector<std::string> tokens = tokenize(line);
-    if (tokens.empty()) continue;
-
+  while (scan.read_line()) {
+    const std::span<const std::string_view> tokens = scan.tokens();
     if (tokens[0] == "platform") {
-      if (platform.has_value()) return fail("duplicate platform directive");
-      if (tokens.size() < 2) return fail("platform needs at least one speed");
-      std::vector<Rational> speeds;
-      for (std::size_t t = 1; t < tokens.size(); ++t) {
-        const auto s = parse_speed_token(tokens[t]);
-        if (!s) return fail("bad speed '" + tokens[t] + "'");
-        if (!(*s > Rational(0))) {
-          return fail("speed must be positive: '" + tokens[t] + "'");
-        }
-        speeds.push_back(*s);
+      if (auto error = parse_platform_directive(tokens, &platform)) {
+        return fail(*std::move(error));
       }
-      platform = Platform::from_speeds_exact(speeds);
     } else if (tokens[0] == "task") {
       if (tokens.size() != 3) return fail("task needs <exec> <period>");
       const auto exec = parse_int_token(tokens[1]);
@@ -114,35 +95,17 @@ ParseResult<Instance> parse_instance(std::istream& in) {
       if (!t.valid()) return fail("task parameters must be positive");
       tasks.push_back(t);
     } else {
-      return fail("unknown directive '" + tokens[0] + "'");
+      return fail("unknown directive '" + std::string(tokens[0]) + "'");
     }
   }
 
-  if (!platform.has_value()) {
-    result.error = ParseError{lineno, "missing platform directive"};
-    return result;
-  }
+  if (!platform.has_value()) return fail("missing platform directive");
   result.value = Instance{TaskSet(std::move(tasks)), *std::move(platform)};
   return result;
 }
 
-ParseResult<Instance> parse_instance_string(const std::string& text) {
-  std::istringstream is(text);
-  return parse_instance(is);
-}
-
 ParseResult<Instance> load_instance(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) {
-    ParseResult<Instance> result;
-    result.error = ParseError{0, "cannot open '" + path + "'"};
-    return result;
-  }
-  auto result = parse_instance(in);
-  if (result.error) {
-    result.error->message = path + ": " + result.error->message;
-  }
-  return result;
+  return load_text_file(path, &parse_instance_string);
 }
 
 std::string format_instance(const Instance& instance) {

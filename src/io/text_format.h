@@ -12,15 +12,23 @@
 //   task 2 10
 //   task 9 10
 //
+// Lexing is shared with the trace grammar (io/trace_format.h) through one
+// zero-copy scanner (io/line_scanner.h): lines end at '\n' only (so a CRLF
+// file parses, '\r' being whitespace), a '#' cuts the rest of its line
+// even inside a token, and tokens split on exactly the C-locale
+// whitespace set ' ' '\t' '\n' '\v' '\f' '\r'.  load_instance reads the
+// whole file in one fstat-sized read loop and parses it in place; a read
+// error is reported as such, never as a shorter file.
+//
 // Parsing is strict: any malformed line yields an error with its line
 // number rather than a silently skewed experiment.  Serialization emits the
 // same format and round-trips exactly (speeds are written as rationals).
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <optional>
 #include <string>
+#include <string_view>
 
 #include "core/platform.h"
 #include "core/task.h"
@@ -51,16 +59,17 @@ struct ParseResult {
 // Token parsers shared by the instance and trace (io/trace_format.h)
 // grammars.  parse_speed_token accepts "3", "3/2", or a short decimal
 // "2.5" and keeps the value exact.
-std::optional<std::int64_t> parse_int_token(const std::string& tok);
-std::optional<double> parse_double_token(const std::string& tok);
-std::optional<Rational> parse_speed_token(const std::string& tok);
+std::optional<std::int64_t> parse_int_token(std::string_view tok);
+std::optional<double> parse_double_token(std::string_view tok);
+std::optional<Rational> parse_speed_token(std::string_view tok);
 
-// Parses an instance from text.  Requires at least one `platform` line; a
+// Parses an instance from text.  Requires exactly one `platform` line; a
 // second `platform` line is an error.  Zero tasks is allowed.
-ParseResult<Instance> parse_instance(std::istream& in);
-ParseResult<Instance> parse_instance_string(const std::string& text);
+ParseResult<Instance> parse_instance_string(std::string_view text);
 
-// Loads an instance from a file; the error message names the path.
+// Loads an instance from a file; the error message names the path.  A
+// file that cannot be opened or read fails on line 0 with
+// "cannot open '<path>': <reason>" or "cannot read '<path>': <reason>".
 ParseResult<Instance> load_instance(const std::string& path);
 
 // Serializes in the same format (speeds as exact rationals).

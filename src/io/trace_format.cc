@@ -3,60 +3,43 @@
 #include <cstddef>
 #include <fstream>
 #include <limits>
+#include <span>
 #include <sstream>
-#include <unordered_set>
+#include <unordered_map>
 #include <vector>
+
+#include "io/line_scanner.h"
 
 namespace hetsched {
 
 namespace {
 
-// Splits on whitespace (same rule as the instance grammar).
-std::vector<std::string> tokenize(const std::string& line) {
-  std::vector<std::string> tokens;
-  std::istringstream is(line);
-  std::string tok;
-  while (is >> tok) tokens.push_back(tok);
-  return tokens;
-}
+constexpr std::size_t kShortestEventLine = 11;  // "depart 0 0\n"
 
 }  // namespace
 
-ParseResult<ChurnInstance> parse_trace(std::istream& in) {
+ParseResult<ChurnInstance> parse_trace_string(std::string_view text) {
   ParseResult<ChurnInstance> result;
   std::optional<Platform> platform;
   ChurnTrace trace;
-  std::unordered_set<std::uint64_t> arrived;
-  std::unordered_set<std::uint64_t> live;
+  trace.events.reserve(directive_line_bound(text, kShortestEventLine));
+  // Every task number that arrived, mapped to whether it is resident.
+  std::unordered_map<std::uint64_t, bool> resident;
+  resident.reserve(trace.events.capacity());
   double last_time = -std::numeric_limits<double>::infinity();
 
-  std::string line;
-  std::size_t lineno = 0;
+  LineScanner scan(text);
   auto fail = [&](std::string msg) {
-    result.error = ParseError{lineno, std::move(msg)};
+    result.error = ParseError{scan.line(), std::move(msg)};
     return result;
   };
 
-  while (std::getline(in, line)) {
-    ++lineno;
-    const auto hash = line.find('#');
-    if (hash != std::string::npos) line.resize(hash);
-    const std::vector<std::string> tokens = tokenize(line);
-    if (tokens.empty()) continue;
-
+  while (scan.read_line()) {
+    const std::span<const std::string_view> tokens = scan.tokens();
     if (tokens[0] == "platform") {
-      if (platform.has_value()) return fail("duplicate platform directive");
-      if (tokens.size() < 2) return fail("platform needs at least one speed");
-      std::vector<Rational> speeds;
-      for (std::size_t t = 1; t < tokens.size(); ++t) {
-        const auto s = parse_speed_token(tokens[t]);
-        if (!s) return fail("bad speed '" + tokens[t] + "'");
-        if (!(*s > Rational(0))) {
-          return fail("speed must be positive: '" + tokens[t] + "'");
-        }
-        speeds.push_back(*s);
+      if (auto error = parse_platform_directive(tokens, &platform)) {
+        return fail(*std::move(error));
       }
-      platform = Platform::from_speeds_exact(speeds);
     } else if (tokens[0] == "arrive") {
       if (tokens.size() != 5 && tokens.size() != 6) {
         return fail("arrive needs <time> <task> <exec> <period> [<deadline>]");
@@ -65,8 +48,10 @@ ParseResult<ChurnInstance> parse_trace(std::istream& in) {
       const auto task = parse_int_token(tokens[2]);
       const auto exec = parse_int_token(tokens[3]);
       const auto period = parse_int_token(tokens[4]);
-      if (!time) return fail("bad time '" + tokens[1] + "'");
-      if (!task || *task < 0) return fail("bad task number '" + tokens[2] + "'");
+      if (!time) return fail("bad time '" + std::string(tokens[1]) + "'");
+      if (!task || *task < 0) {
+        return fail("bad task number '" + std::string(tokens[2]) + "'");
+      }
       if (!exec || !period) return fail("task parameters must be integers");
       // Missing column = implicit deadline: the legacy 4-column form.
       std::int64_t deadline = 0;
@@ -82,10 +67,9 @@ ParseResult<ChurnInstance> parse_trace(std::istream& in) {
       const Task params{*exec, *period, deadline};
       if (!params.valid()) return fail("task parameters must be positive");
       const auto id = static_cast<std::uint64_t>(*task);
-      if (!arrived.insert(id).second) {
-        return fail("task " + tokens[2] + " arrives twice");
+      if (!resident.try_emplace(id, true).second) {
+        return fail("task " + std::string(tokens[2]) + " arrives twice");
       }
-      live.insert(id);
       last_time = *time;
       ChurnEvent ev;
       ev.kind = ChurnEvent::Kind::kArrival;
@@ -97,13 +81,18 @@ ParseResult<ChurnInstance> parse_trace(std::istream& in) {
       if (tokens.size() != 3) return fail("depart needs <time> <task>");
       const auto time = parse_double_token(tokens[1]);
       const auto task = parse_int_token(tokens[2]);
-      if (!time) return fail("bad time '" + tokens[1] + "'");
-      if (!task || *task < 0) return fail("bad task number '" + tokens[2] + "'");
+      if (!time) return fail("bad time '" + std::string(tokens[1]) + "'");
+      if (!task || *task < 0) {
+        return fail("bad task number '" + std::string(tokens[2]) + "'");
+      }
       if (*time < last_time) return fail("event times must be non-decreasing");
       const auto id = static_cast<std::uint64_t>(*task);
-      if (live.erase(id) == 0) {
-        return fail("depart of task " + tokens[2] + " which is not resident");
+      const auto it = resident.find(id);
+      if (it == resident.end() || !it->second) {
+        return fail("depart of task " + std::string(tokens[2]) +
+                    " which is not resident");
       }
+      it->second = false;
       last_time = *time;
       ChurnEvent ev;
       ev.kind = ChurnEvent::Kind::kDeparture;
@@ -111,36 +100,18 @@ ParseResult<ChurnInstance> parse_trace(std::istream& in) {
       ev.task = id;
       trace.events.push_back(ev);
     } else {
-      return fail("unknown directive '" + tokens[0] + "'");
+      return fail("unknown directive '" + std::string(tokens[0]) + "'");
     }
   }
 
-  if (!platform.has_value()) {
-    result.error = ParseError{lineno, "missing platform directive"};
-    return result;
-  }
-  trace.arrivals = arrived.size();
+  if (!platform.has_value()) return fail("missing platform directive");
+  trace.arrivals = resident.size();
   result.value = ChurnInstance{*std::move(platform), std::move(trace)};
   return result;
 }
 
-ParseResult<ChurnInstance> parse_trace_string(const std::string& text) {
-  std::istringstream is(text);
-  return parse_trace(is);
-}
-
 ParseResult<ChurnInstance> load_trace(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) {
-    ParseResult<ChurnInstance> result;
-    result.error = ParseError{0, "cannot open '" + path + "'"};
-    return result;
-  }
-  auto result = parse_trace(in);
-  if (result.error) {
-    result.error->message = path + ": " + result.error->message;
-  }
-  return result;
+  return load_text_file(path, &parse_trace_string);
 }
 
 std::string format_trace(const ChurnInstance& instance) {

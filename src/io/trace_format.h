@@ -19,6 +19,13 @@
 //   arrive 1.25 1 9 10
 //   depart 3.5 0
 //
+// Lexing is the instance grammar's (io/text_format.h), through the same
+// zero-copy scanner (io/line_scanner.h): lines end at '\n' only, '#' cuts
+// the rest of its line even inside a token, and tokens split on exactly
+// the C-locale whitespace set ' ' '\t' '\n' '\v' '\f' '\r'.  load_trace
+// reads the whole file in one fstat-sized read loop and parses it in
+// place; a read error is reported as such, never as a shorter trace.
+//
 // Validation is strict, matching io/text_format.h: event times must be
 // non-decreasing, every task number may arrive at most once, and a depart
 // must name a task that arrived earlier and has not departed yet.  Tasks
@@ -27,8 +34,8 @@
 // digits to recover the double exactly).
 #pragma once
 
-#include <iosfwd>
 #include <string>
+#include <string_view>
 
 #include "core/platform.h"
 #include "gen/churn_gen.h"
@@ -44,10 +51,11 @@ struct ChurnInstance {
 
 // Parses a trace.  Requires exactly one `platform` line (before, between,
 // or after events).  Zero events is allowed.
-ParseResult<ChurnInstance> parse_trace(std::istream& in);
-ParseResult<ChurnInstance> parse_trace_string(const std::string& text);
+ParseResult<ChurnInstance> parse_trace_string(std::string_view text);
 
-// Loads a trace from a file; the error message names the path.
+// Loads a trace from a file; the error message names the path.  A file
+// that cannot be opened or read fails on line 0 with
+// "cannot open '<path>': <reason>" or "cannot read '<path>': <reason>".
 ParseResult<ChurnInstance> load_trace(const std::string& path);
 
 // Serializes in the same format (speeds as exact rationals, times with

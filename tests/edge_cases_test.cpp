@@ -24,6 +24,67 @@ TEST(Edge, IoWhitespaceOnlyFile) {
   EXPECT_FALSE(parse_instance_string("\n   \n\t\n").ok());  // no platform
 }
 
+// The instance and trace grammars share one lexer: the same bytes must
+// tokenize, count lines, and fail the same way in both.
+TEST(Edge, IoBothGrammarsLexPlatformLinesAlike) {
+  const std::string lines[] = {
+      "platform 1 3/2 .25\n",
+      "platform\t1\v3/2\f.25\r\n",
+      "  platform 1 3/2 .25# trailing\n",
+      "\n#\nplatform 1 3/2 .25",
+      "platform 1 3/2 .25 # 9 9 9\r",
+  };
+  for (const std::string& text : lines) {
+    const auto a = parse_instance_string(text);
+    const auto b = parse_trace_string(text);
+    ASSERT_TRUE(a.ok()) << text;
+    ASSERT_TRUE(b.ok()) << text;
+    ASSERT_EQ(a.value->platform.size(), 3u) << text;
+    ASSERT_EQ(b.value->platform.size(), 3u) << text;
+    for (std::size_t j = 0; j < 3; ++j) {
+      EXPECT_EQ(a.value->platform.speed_exact(j),
+                b.value->platform.speed_exact(j));
+    }
+    EXPECT_EQ(a.value->platform.speed_exact(0), Rational(1, 4));
+  }
+}
+
+TEST(Edge, IoBothGrammarsRejectAlike) {
+  const std::string texts[] = {
+      "",
+      "\n\n\n",
+      "\r\n\r\n",
+      "# only a comment",
+      "platform 1\nplatform 1",
+      "platform\t\v\f\r\n",
+      std::string("platform 1\0\n", 12),
+      std::string("\n\nplatform 2 \0 3\n", 17),
+      "platform 1 2.\n",
+      "platform 1\n\nbogus\n",
+  };
+  for (const std::string& text : texts) {
+    const auto a = parse_instance_string(text);
+    const auto b = parse_trace_string(text);
+    ASSERT_FALSE(a.ok()) << text;
+    ASSERT_FALSE(b.ok()) << text;
+    EXPECT_EQ(a.error->line, b.error->line) << text;
+    EXPECT_EQ(a.error->message, b.error->message) << text;
+  }
+  EXPECT_EQ(parse_instance_string("\n\n\n").error->line, 3u);
+  EXPECT_EQ(parse_trace_string(std::string("\n\nplatform 2 \0 3\n", 17))
+                .error->line,
+            3u);
+}
+
+TEST(Edge, IoCarriageReturnIsWhitespaceNotALineEnd) {
+  // "\r" alone never ends a line: both directives sit on line 1, so the
+  // task tokens are extra speeds and "task" is not a speed.
+  const auto r = parse_instance_string("platform 1\rtask 1 2\n");
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.error->line, 1u);
+  EXPECT_EQ(r.error->message, "bad speed 'task'");
+}
+
 // ----------------------------------------------------- exact search corners
 
 TEST(Edge, ExactPartitionWithHyperbolicAdmission) {

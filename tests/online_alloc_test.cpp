@@ -1,9 +1,10 @@
 // Proves that the warm decision paths perform no heap allocation for the
 // slack-form admission kinds: after warm-up, OnlinePartitioner's admit()
 // and depart(), and the batch first_fit_accepts / min_feasible_alpha
-// through a caller-owned PartitionScratch.  This lives in its own test
-// binary because it replaces global operator new — instrumenting every
-// other suite with the counter would be noise.
+// through a caller-owned PartitionScratch; and that the text instance
+// parser allocates a constant number of times, not once per line.  This
+// lives in its own test binary because it replaces global operator new —
+// instrumenting every other suite with the counter would be noise.
 //
 // Methodology: admit a full wave (warm-up grows the slot arena, the
 // per-machine resident lists, and the free list via the departures), depart
@@ -18,9 +19,11 @@
 #include <cstdlib>
 #include <new>
 #include <optional>
+#include <string>
 #include <utility>
 #include <vector>
 
+#include "io/text_format.h"
 #include "online/online_partitioner.h"
 #include "partition/audit.h"
 #include "partition/first_fit.h"
@@ -165,6 +168,31 @@ INSTANTIATE_TEST_SUITE_P(SlackFormKinds, AllocTest,
                          ::testing::Values(AdmissionKind::kEdf,
                                            AdmissionKind::kRmsLiuLayland,
                                            AdmissionKind::kRmsHyperbolic));
+
+// The instance parser scans the text in place: its allocations are the
+// result's vectors and the spill of the one wide `platform` line, never
+// one per line, so the count must not grow with the number of tasks.
+TEST(ParseAlloc, InstanceParseAllocationsDoNotGrowWithTasks) {
+  std::size_t counts[2] = {};
+  const std::size_t sizes[2] = {1024, 16384};
+  for (std::size_t k = 0; k < 2; ++k) {
+    std::string text = "# generated\nplatform";
+    for (int j = 1; j <= 128; ++j) text += " " + std::to_string(j) + "/8";
+    text += "\n";
+    for (std::size_t i = 0; i < sizes[k]; ++i) {
+      text += "task " + std::to_string(1 + i % 7) + " " +
+              std::to_string(10 + i % 990) + "\n";
+    }
+    const std::size_t before = g_allocations.load();
+    const ParseResult<Instance> parsed = parse_instance_string(text);
+    counts[k] = g_allocations.load() - before;
+    ASSERT_TRUE(parsed.ok());
+    ASSERT_EQ(parsed.value->tasks.size(), sizes[k]);
+    ASSERT_EQ(parsed.value->platform.size(), 128u);
+  }
+  EXPECT_LE(counts[1], 32u);
+  EXPECT_EQ(counts[1], counts[0]);
+}
 
 TEST(AllocCounter, CountsAtAll) {
   // Sanity-check the instrumentation itself: a vector growth must count.

@@ -26,10 +26,12 @@ SEED="${FUZZ_SEED:-1}"
 
 cmake -S . -B "$BUILD_DIR" -DHETSCHED_FUZZ=ON >/dev/null
 cmake --build "$BUILD_DIR" -j"$(nproc)" \
-  --target fuzz_frame_decode fuzz_wal_load fuzz_snapshot fuzz_trace_parse
+  --target fuzz_frame_decode fuzz_wal_load fuzz_snapshot fuzz_trace_parse \
+  fuzz_instance_parse
 
 for pair in fuzz_frame_decode:frame fuzz_wal_load:wal \
-            fuzz_snapshot:snapshot fuzz_trace_parse:trace; do
+            fuzz_snapshot:snapshot fuzz_trace_parse:trace \
+            fuzz_instance_parse:instance; do
   target="${pair%%:*}"
   corpus="fuzz/corpus/${pair##*:}"
   scratch="$BUILD_DIR/fuzz/scratch/$target"
